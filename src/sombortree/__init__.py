@@ -1,7 +1,7 @@
 """Maximum-Sombor trees for a given internal degree sequence.
 
 Builds the candidate maximum tree by greedy subtree decomposition and
-merging, and verifies it against an exact Prüfer-enumeration oracle,
+merging, and verifies it against an exact free-tree enumeration oracle,
 degree-preserving 2-swap local search, and simulated annealing.
 """
 

@@ -40,19 +40,27 @@ class _UsageError(Exception):
     pass
 
 
+class _InputError(Exception):
+    """Bad input outside the command line's syntax; one line on stderr."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
 
-def _default_cap() -> int:
-    env = os.environ.get("SOMBOR_CAP")
-    if env is not None:
+def _cap(args) -> int:
+    """--cap, else the SOMBOR_CAP environment variable, else DEFAULT_CAP."""
+    source, cap = "--cap", args.cap
+    if cap is None:
+        source, env = "SOMBOR_CAP", os.environ.get("SOMBOR_CAP", str(DEFAULT_CAP))
         try:
-            return int(env)
-        except ValueError as exc:
-            raise _UsageError(f"SOMBOR_CAP must be an integer, got {env!r}") from exc
-    return DEFAULT_CAP
+            cap = int(env)
+        except ValueError:
+            raise _InputError(f"SOMBOR_CAP must be an integer, got {env!r}") from None
+    if cap < 1:
+        raise _InputError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def _parse_degrees(text: str):
@@ -124,7 +132,7 @@ def _cmd_score(args) -> int:
     try:
         with open(args.input) as fh:
             tree = Tree.from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read tree from {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"{sombor_index(tree):.12g}")
@@ -133,7 +141,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_verify(args) -> int:
     d = _parse_degrees(args.degrees)
-    cap = args.cap if args.cap is not None else _default_cap()
+    cap = _cap(args)
     constructed = construct_max_tree(d)
     c_so = sombor_index(constructed)
     result = oracle_max(d, cap=cap, workers=args.workers)
@@ -174,7 +182,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cap = args.cap if args.cap is not None else _default_cap()
+    cap = _cap(args)
     try:
         records = run_sweep(
             args.max_n, cap=cap, out_csv=args.out, witness_dir=args.witness_dir
@@ -238,7 +246,7 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (DegreeSequenceError, InvalidTreeError) as exc:
+    except (_InputError, DegreeSequenceError, InvalidTreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -39,14 +39,15 @@ class SubtreeSpec:
     filler_leaves: int = 0
 
     def __post_init__(self):
+        slots = len(self.child_degrees) + self.filler_leaves
         if self.kind == CHAIN:
-            assert len(self.child_degrees) == self.root_degree - 1
-            assert self.filler_leaves == 0
+            ok = self.filler_leaves == 0 and slots == self.root_degree - 1
         elif self.kind == BASE:
-            assert len(self.child_degrees) + self.filler_leaves == self.root_degree
+            ok = slots == self.root_degree
         else:
             raise ValueError(f"unknown subtree kind {self.kind!r}")
-        assert all(c >= 2 for c in self.child_degrees)
+        if not ok or not all(c >= 2 for c in self.child_degrees):
+            raise ValueError(f"inconsistent {self.kind} subtree spec: {self}")
 
 
 @dataclass(frozen=True)

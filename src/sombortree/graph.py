@@ -101,7 +101,15 @@ class Tree:
     @classmethod
     def from_json(cls, text: str) -> "Tree":
         data = json.loads(text)
-        return cls.from_edges(data["n"], data["edges"])
+        if not isinstance(data, dict) or not _is_int(data.get("n")):
+            raise InvalidTreeError('expected an object with an integer "n"')
+        edges = data.get("edges")
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
+            for e in edges
+        ):
+            raise InvalidTreeError('"edges" must be a list of [u, v] integer pairs')
+        return cls.from_edges(data["n"], edges)
 
     def to_dot(self) -> str:
         lines = ["graph tree {"]
@@ -240,16 +248,9 @@ def canonical_form(t: Tree) -> str:
     For bicentric trees the lexicographically smaller of the two rooted
     codes is used.
     """
-    return ahu_code(t.adj)
-
-
-def ahu_code(adj) -> str:
-    """Center-rooted AHU code for a tree given as adjacency lists."""
-    n = len(adj)
-    if n == 1:
+    if t.n == 1:
         return "()"
-    centers = tree_centers(adj)
-    return min(_rooted_code(adj, c) for c in centers)
+    return min(_rooted_code(t.adj, c) for c in tree_centers(t.adj))
 
 
 def tree_centers(adj) -> list[int]:
@@ -274,11 +275,24 @@ def tree_centers(adj) -> list[int]:
 
 
 def _rooted_code(adj, root: int) -> str:
-    def code(v: int, parent: int) -> str:
-        kids = sorted(code(u, v) for u in adj[v] if u != parent)
-        return "(" + "".join(kids) + ")"
+    """AHU code of the tree rooted at root: "(" + sorted child codes + ")".
 
-    return code(root, -1)
+    Iterative, children before parents in reverse BFS order, so deep trees
+    cannot reach the recursion limit.
+    """
+    order = _bfs_order(adj, root)
+    parent = _bfs_parents(adj, root)
+    kids: list[list[str]] = [[] for _ in adj]
+    for v in reversed(order):
+        code = "(" + "".join(sorted(kids[v])) + ")"
+        kids[v] = []
+        if v == root:
+            return code
+        kids[parent[v]].append(code)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _bfs_order(adj, start: int) -> list[int]:

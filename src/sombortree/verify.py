@@ -1,9 +1,11 @@
 """Independent ground truth and theorem probes.
 
-Exact maximum via Prüfer enumeration (labeled trees, deduplicated by
-canonical form), degree-preserving 2-swap local search, path-inequality
-and attachment-site checkers, and a seeded simulated annealer for
-instances beyond exhaustive reach.
+Exact maximum by a scan over free skeleton trees (the trees left after
+deleting the leaves, one per isomorphism class) with every placement of
+the degrees on them, deduplicated by canonical form; a capped scan walks
+the labeled trees of the Prüfer bijection instead.  Also degree-preserving
+2-swap local search, path-inequality and attachment-site checkers, and a
+seeded simulated annealer for instances beyond exhaustive reach.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import heapq
 import json
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 
@@ -20,7 +21,7 @@ from sombortree.graph import (
     REL_TOL,
     DegreeSequence,
     Tree,
-    ahu_code,
+    canonical_form,
     leaf_layer_profile,
     sombor_index,
 )
@@ -95,14 +96,6 @@ def prufer_space_size(d: DegreeSequence) -> int:
     return size
 
 
-def _prufer_multiset(d: DegreeSequence) -> list[int]:
-    """Ascending start permutation: internal vertex i appears d_i - 1 times."""
-    ms = []
-    for i, di in enumerate(d.degrees):
-        ms.extend([i] * (di - 1))
-    return ms
-
-
 def _next_permutation(a: list[int]) -> bool:
     """Advance a to its next lexicographic permutation in place."""
     i = len(a) - 2
@@ -129,13 +122,88 @@ def enumerate_trees(d: DegreeSequence, cap: int = DEFAULT_CAP):
         if cap >= 1:
             yield Tree.from_edges(2, [(0, 1)])
         return
-    seq = _prufer_multiset(d)
+    # ascending start: internal vertex i appears d_i - 1 times
+    seq = [i for i, di in enumerate(d.degrees) for _ in range(di - 1)]
     count = 0
     while count < cap:
         yield prufer_to_tree(seq, n)
         count += 1
         if not _next_permutation(seq):
             return
+
+
+# ---------------------------------------------------------------------------
+# Free trees (Wright, Richmond, Odlyzko & McKay 1986)
+
+
+def free_trees(m: int):
+    """Stream every free tree on m vertices once, as a parent array.
+
+    Vertex 0 is the root (parent -1) and every other vertex's parent has a
+    smaller id.  Walks the canonical level sequences of rooted trees in
+    decreasing lexicographic order (Beyer & Hedetniemi), keeps those rooted
+    at a center, and from a rejected sequence jumps to the next one that
+    can be kept, skipping only sequences that would be rejected too.
+    """
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    if m <= 2:
+        yield (-1, 0)[:m]
+        return
+    # the path rooted at its center is the first sequence kept
+    level = list(range(m // 2 + 1)) + list(range(1, (m + 1) // 2))
+    while True:
+        cut = next((i for i in range(2, m) if level[i] == 1), m)
+        if _rooted_at_center(level, cut):
+            yield _parents(level)
+            p = m - 1
+            while level[p] == 1:
+                p -= 1
+            if p == 0:  # the star is the last rooted tree
+                return
+        else:
+            h = max(level[1:cut]) - 1  # height of the first root subtree
+            if m - cut >= h:
+                # every later sequence with this first subtree has a rest
+                # no taller and no larger, so jump past them all
+                p = cut - 1
+            elif 2 * h + 2 <= m:
+                # a rest of height h needs h vertices; the sequences down to
+                # the first subtree cut short by that many are all rejected
+                level[m - h :] = range(1, h + 1)
+                continue
+            else:
+                # no tree whose first subtree is this tall has a center root
+                p = h + 1
+        q = p - 1
+        while level[q] != level[p] - 1:
+            q -= 1
+        for i in range(p, m):
+            level[i] = level[i - p + q]
+
+
+def _rooted_at_center(level: list[int], cut: int) -> bool:
+    """Is the root a center, and for bicentral trees the chosen one?
+
+    level[1:cut] is the first (tallest) root subtree.  When the rest of the
+    tree is exactly as tall, the other end of the central edge is a center
+    too; the rooting whose first subtree is the smaller of the two halves,
+    by size and then level sequence, is the one kept.
+    """
+    first = [x - 1 for x in level[1:cut]]
+    rest = [0] + level[cut:]
+    if max(rest) != max(first):
+        return max(rest) > max(first)
+    return (len(first), first) <= (len(rest), rest)
+
+
+def _parents(level: list[int]) -> tuple[int, ...]:
+    parent = [-1] * len(level)
+    last = [0] * len(level)  # latest vertex seen on each level
+    for v in range(1, len(level)):
+        parent[v] = last[level[v] - 1]
+        last[level[v]] = v
+    return tuple(parent)
 
 
 # ---------------------------------------------------------------------------
@@ -174,139 +242,63 @@ def _weight_table(degv: list[int]) -> list[list[float]]:
     ]
 
 
-def _decode_so(seq, deg_base: list[int], W: list[list[float]], n: int) -> float:
-    """Sombor value of the decode of seq; degrees are fixed by the multiset."""
-    deg = deg_base.copy()
-    so = 0.0
-    ptr = 0
-    leaf = -1
-    for v in seq:
-        if leaf < 0:
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-            ptr += 1
-        so += W[leaf][v]
-        deg[v] -= 1
-        if deg[v] == 1 and v < ptr:
-            leaf = v
-        else:
-            leaf = -1
-    if leaf < 0:
-        while deg[ptr] != 1:
-            ptr += 1
-        leaf = ptr
-    return so + W[leaf][n - 1]
+def _skeleton_scan(d: DegreeSequence):
+    """Score every tree realizing d as (so, (parent, s, degrees)).
 
-
-def _decode_adj(seq, deg_base: list[int], n: int) -> list[list[int]]:
-    """Adjacency lists of the decode of seq, skipping Tree validation."""
-    deg = deg_base.copy()
-    adj = [[] for _ in range(n)]
-    ptr = 0
-    leaf = -1
-    for v in seq:
-        if leaf < 0:
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-            ptr += 1
-        adj[leaf].append(v)
-        adj[v].append(leaf)
-        deg[v] -= 1
-        if deg[v] == 1 and v < ptr:
-            leaf = v
-        else:
-            leaf = -1
-    if leaf < 0:
-        while deg[ptr] != 1:
-            ptr += 1
-        leaf = ptr
-    adj[leaf].append(n - 1)
-    adj[n - 1].append(leaf)
-    return adj
-
-
-def _canon_int(adj, intern: dict) -> int:
-    """Center-rooted AHU code as an interned integer.
-
-    Equal ints iff isomorphic, valid only within one intern dict; cheaper
-    than string codes in the enumeration hot path.
+    Deleting the leaves of such a tree leaves a free tree S on its m
+    internal vertices, and hanging d(v) - s(v) leaves on each vertex v of
+    S, s(v) its degree in S, gives the tree back.  So every placement of
+    the multiset d on a free tree S with d(v) >= s(v) is scanned, and the
+    score is the fsum of the tree's edge weights, bit-identical to
+    sombor_index of the tree.  Isomorphic trees may be scored more than
+    once, through automorphisms of S.
     """
-    n = len(adj)
-    deg = [len(x) for x in adj]
-    removed = [False] * n
-    layer = [v for v in range(n) if deg[v] <= 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            removed[v] = True
-            for u in adj[v]:
-                if not removed[u]:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-
-    def rooted(v: int, p: int) -> int:
-        key = tuple(sorted(rooted(u, v) for u in adj[v] if u != p))
-        code = intern.get(key)
-        if code is None:
-            code = len(intern)
-            intern[key] = code
-        return code
-
-    return min(rooted(c, -1) for c in layer)
+    m = d.m
+    need = list(d.degrees)  # non-increasing
+    vals = set(need) | {1}
+    W = {(a, b): math.sqrt(a * a + b * b) for a in vals for b in vals}
+    for parent in free_trees(m):
+        s = [0] * m
+        for v in range(1, m):
+            s[v] += 1
+            s[parent[v]] += 1
+        if any(x > y for x, y in zip(sorted(s, reverse=True), need)):
+            continue
+        deg = sorted(need)
+        while True:
+            if all(x >= y for x, y in zip(deg, s)):
+                terms = [W[deg[v], deg[parent[v]]] for v in range(1, m)]
+                for v in range(m):
+                    terms += [W[deg[v], 1]] * (deg[v] - s[v])
+                yield math.fsum(terms), (parent, s, tuple(deg))
+            if not _next_permutation(deg):
+                break
 
 
-def _scan_range(d: DegreeSequence, first: int | None, cap: int):
-    """Max-scan of the (optionally prefix-restricted) permutation stream.
+def _hang_leaves(key) -> Tree:
+    """The tree of one skeleton placement: internal vertices 0..m-1."""
+    parent, s, deg = key
+    m = len(deg)
+    hung = [v for v in range(m) for _ in range(deg[v] - s[v])]
+    edges = [(parent[v], v) for v in range(1, m)]
+    edges += [(v, m + i) for i, v in enumerate(hung)]
+    return Tree.from_edges(m + len(hung), edges)
 
-    Returns (best_so, witnesses: dict code -> (so, edge list), count).
-    """
-    n = d.vertex_count
-    degv = list(d.degrees) + [1] * d.leaf_count
-    W = _weight_table(degv)
-    ms = _prufer_multiset(d)
-    if first is not None:
-        ms.remove(first)
-        tail = sorted(ms)
-        seq = [first] + tail
-    else:
-        tail = sorted(ms)
-        seq = tail
-    rt = REL_TOL
-    best = 0.0  # every tree has positive Sombor value
-    raw: dict[int, tuple[float, list[list[int]]]] = {}
-    intern: dict = {}
-    count = 0
-    while count < cap:
-        so = _decode_so(seq, degv, W, n)
-        count += 1
-        if so >= best - rt * best:
-            if so > best + rt * best:
-                best = so
-                cut = best - rt * best
-                for key in [k for k, (w, _) in raw.items() if w < cut]:
-                    del raw[key]
-            adj = _decode_adj(seq, degv, n)
-            key = _canon_int(adj, intern)
-            if key not in raw:
-                raw[key] = (so, adj)
-        # advance the suffix only; the prefix, when present, is pinned
-        if not _next_permutation(tail):
-            break
-        if first is not None:
-            seq[1:] = tail
-    # interned keys are scan-local; convert survivors to portable codes
-    witnesses: dict[str, tuple[float, Tree]] = {}
-    for so, adj in raw.values():
-        edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
-        tree = Tree.from_edges(n, edges)
-        witnesses.setdefault(ahu_code(tree.adj), (so, tree))
-    return best, witnesses, count
+
+def _maximizers(scored, build) -> tuple[float, dict[str, tuple[float, Tree]]]:
+    """Max score and its witnesses: code -> (so, tree) for every score
+    within REL_TOL of the max, one tree per canonical form."""
+    best = cut = 0.0  # every tree has positive Sombor value
+    wits: dict[str, tuple[float, Tree]] = {}
+    for so, key in scored:
+        if so < cut:
+            continue
+        if so > best:
+            best, cut = so, so - REL_TOL * so
+            wits = {c: w for c, w in wits.items() if w[0] >= cut}
+        tree = build(key)
+        wits.setdefault(canonical_form(tree), (so, tree))
+    return best, wits
 
 
 def oracle_max(
@@ -314,42 +306,27 @@ def oracle_max(
 ) -> OracleResult:
     """Exact maximum Sombor value over all trees realizing d.
 
-    Witnesses are all non-isomorphic maximizers within 1e-9 relative of
-    the max.  A hit cap makes the result inconclusive (capped=True).
+    Witnesses are all non-isomorphic maximizers within REL_TOL relative
+    of the max.  ``enumerated`` is the number of labeled trees covered,
+    prufer_space_size(d) or cap.  When that count exceeds cap only the
+    first cap labeled trees of enumerate_trees are scanned and the result
+    is inconclusive (capped=True); otherwise the scan runs over free
+    skeleton trees.  ``workers`` is accepted and ignored.
     """
-    n = d.vertex_count
-    if n == 2:
-        t = Tree.from_edges(2, [(0, 1)])
-        return OracleResult(math.sqrt(2.0), 1, (ahu_code(t.adj),), False, (t,))
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     total = prufer_space_size(d)
     capped = total > cap
-    if workers <= 1 or capped:
-        best, wits, count = _scan_range(d, None, cap)
+    # the single edge has no internal vertex to form a skeleton
+    if capped or d.m == 0:
+        scored = ((sombor_index(t), t) for t in enumerate_trees(d, cap))
+        best, wits = _maximizers(scored, lambda t: t)
     else:
-        firsts = sorted(set(_prufer_multiset(d)))
-        if len(firsts) == 1:
-            best, wits, count = _scan_range(d, None, cap)
-        else:
-            best = 0.0
-            wits = {}
-            count = 0
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = pool.map(
-                    _scan_range, [d] * len(firsts), firsts, [cap] * len(firsts)
-                )
-                for b, w, c in parts:
-                    count += c
-                    if b > best + REL_TOL * abs(best):
-                        best = b
-                    wits.update(
-                        (code, sw) for code, sw in w.items() if code not in wits
-                    )
-            cut = best - REL_TOL * best
-            wits = {c: sw for c, sw in wits.items() if sw[0] >= cut}
+        best, wits = _maximizers(_skeleton_scan(d), _hang_leaves)
     codes = sorted(wits)
     return OracleResult(
         max_so=best,
-        enumerated=count,
+        enumerated=min(total, cap),
         witnesses=tuple(codes),
         capped=capped,
         witness_trees=tuple(wits[c][1] for c in codes),

@@ -13,6 +13,7 @@ import pytest
 from sombortree.graph import (
     REL_TOL,
     Tree,
+    canonical_form,
     edge_weight,
     sombor_index,
     validate,
@@ -30,8 +31,11 @@ from sombortree.verify import (
     attachment_profile,
     check_theorem1,
     is_local_max,
+    oracle_max,
+    prufer_space_size,
     prufer_to_tree,
 )
+from sombortree.sweep import generate_degree_sequences
 
 PAPER_DEGREES = (5, 5, 5, 4, 3, 3, 2, 2)
 
@@ -54,6 +58,34 @@ def test_criterion_1_exhaustive_optimality(audit_n12):
         1,
         ok,
         f"{len(audit_n12)} sequences audited, capped={len(capped)}, "
+        f"non-optimal={mismatched[:3] or 0}",
+    )
+
+
+def test_criterion_1_exhaustive_optimality_n16():
+    """Criterion 1 over every sequence with n <= 16, by the exact oracle.
+
+    The cap is each sequence's labeled tree count, so no scan is capped;
+    the constructed tree's canonical form must be among the witnesses.
+    """
+    seqs = generate_degree_sequences(16)
+    capped, mismatched = [], []
+    for d in seqs:
+        oracle = oracle_max(d, cap=prufer_space_size(d))
+        constructed = construct_max_tree(d)
+        so = sombor_index(constructed)
+        if oracle.capped:
+            capped.append(d.degrees)
+        elif (
+            oracle.max_so - so > REL_TOL * oracle.max_so
+            or canonical_form(constructed) not in oracle.witnesses
+        ):
+            mismatched.append((d.degrees, oracle.max_so - so))
+    ok = not capped and not mismatched
+    _verdict(
+        1,
+        ok,
+        f"{len(seqs)} sequences with n <= 16 audited, capped={len(capped)}, "
         f"non-optimal={mismatched[:3] or 0}",
     )
 

@@ -73,6 +73,60 @@ def test_verify_workers(capsys):
     assert payload["optimal"] is True and payload["enumerated"] == 12
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--degrees", "3,2,2", "--cap", "-5"],
+        ["verify", "--degrees", "3,2,2", "--cap", "0"],
+        ["sweep", "--max-n", "5", "--cap", "0"],
+    ],
+)
+def test_cap_below_one_exit_1(capsys, tmp_path, argv):
+    out_csv = tmp_path / "r.csv"
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(out_csv)]
+    assert run(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and "--cap must be at least 1" in out.err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cap_env_below_one_exit_1(capsys, monkeypatch, tmp_path, command):
+    monkeypatch.setenv("SOMBOR_CAP", "0")
+    argv = {
+        "verify": ["verify", "--degrees", "3,2,2"],
+        "sweep": ["sweep", "--max-n", "5", "--out", str(tmp_path / "r.csv")],
+    }[command]
+    assert run(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and "SOMBOR_CAP must be at least 1" in out.err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3, "edges": 5}',
+        '{"n": "x", "edges": []}',
+        "[1, 2]",
+        '{"n": 3, "edges": [[0, 1], [1, "a"]]}',
+        '{"n": 3, "edges": [[0, 1], [1, 2, 0]]}',
+        '{"n": 3.5, "edges": []}',
+        '{"edges": [[0, 1]]}',
+    ],
+)
+def test_score_malformed_json_exit_1(capsys, tmp_path, text):
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(text)
+    assert run(["score", "--input", str(tree_file)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
 def test_check_reports(capsys):
     assert run(["check", "--degrees", "5,5,5,4,3,3,2,2"]) == 0
     payload = json.loads(capsys.readouterr().out)

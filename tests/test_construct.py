@@ -40,6 +40,27 @@ def degree_sequences(draw, max_n=11):
     return validate(prufer_to_tree(seq, n).internal_degrees())
 
 
+# -- subtree specs -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind, root_degree, child_degrees, filler_leaves",
+    [
+        (CHAIN, 3, (2,), 0),  # a chain root of degree 3 needs two children
+        (CHAIN, 2, (2,), 1),  # chains carry no filler leaves
+        (BASE, 3, (2,), 1),  # a base root's slots must add up to its degree
+        (CHAIN, 2, (1,), 0),  # internal children have degree >= 2
+        ("ring", 2, (2,), 0),
+    ],
+)
+def test_subtree_spec_rejects_inconsistent_specs(
+    kind, root_degree, child_degrees, filler_leaves
+):
+    # a ValueError, not an assert, so that python -O still rejects them
+    with pytest.raises(ValueError):
+        SubtreeSpec(kind, root_degree, child_degrees, filler_leaves)
+
+
 # -- decompose ---------------------------------------------------------------
 
 

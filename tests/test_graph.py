@@ -15,6 +15,7 @@ from sombortree.graph import (
     leaf_layer_profile,
     leaf_to_leaf_paths,
     sombor_index,
+    tree_centers,
     validate,
 )
 from sombortree.construct import SubtreeSpec, construct_max_tree, materialize
@@ -278,6 +279,32 @@ def test_canonical_relabeling_invariant(t, rnd):
     rnd.shuffle(perm)
     relabeled = Tree.from_edges(t.n, [(perm[u], perm[v]) for u, v in t.edges()])
     assert canonical_form(relabeled) == canonical_form(t)
+
+
+def _recursive_rooted_code(adj, v, parent=-1):
+    kids = sorted(_recursive_rooted_code(adj, u, v) for u in adj[v] if u != parent)
+    return "(" + "".join(kids) + ")"
+
+
+def _recursive_canonical_form(t):
+    """The recursive AHU code canonical_form used to compute, as a reference."""
+    if t.n == 1:
+        return "()"
+    return min(_recursive_rooted_code(t.adj, c) for c in tree_centers(t.adj))
+
+
+@given(random_trees(min_n=2, max_n=40))
+@settings(max_examples=200)
+def test_canonical_matches_recursive_reference(t):
+    assert canonical_form(t) == _recursive_canonical_form(t)
+
+
+def test_canonical_form_deep_path():
+    # the recursive form raised RecursionError on a 3,002-vertex path
+    def arm(k):
+        return "(" * k + ")" * k
+
+    assert canonical_form(path_tree(5000)) == "(" + arm(2500) + arm(2499) + ")"
 
 
 def test_degree_sequence_str():

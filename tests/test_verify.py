@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sombortree.graph import Tree, canonical_form, sombor_index, validate
+from sombortree.graph import REL_TOL, Tree, canonical_form, sombor_index, validate
 from sombortree.construct import (
     SubtreeSpec,
     construct_max_tree,
@@ -17,6 +17,7 @@ from sombortree.verify import (
     attachment_profile,
     check_theorem1,
     enumerate_trees,
+    free_trees,
     is_local_max,
     oracle_max,
     prufer_space_size,
@@ -118,7 +119,74 @@ def test_space_size_matches_enumeration():
         assert prufer_space_size(d) == sum(1 for _ in enumerate_trees(d))
 
 
+# -- free trees --------------------------------------------------------------
+
+# OEIS A000055: free trees on m unlabeled vertices, m = 0, 1, ..., 14
+A000055 = [1, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_free_trees_count_and_distinct(m):
+    codes = []
+    for parent in free_trees(m):
+        assert len(parent) == m and parent[0] == -1
+        assert all(0 <= parent[v] < v for v in range(1, m))
+        edges = [(parent[v], v) for v in range(1, m)]
+        codes.append(canonical_form(Tree.from_edges(m, edges)))
+    assert len(codes) == A000055[m]
+    assert len(set(codes)) == len(codes)
+
+
+def test_free_trees_rejects_empty():
+    with pytest.raises(ValueError):
+        list(free_trees(0))
+
+
 # -- oracle ------------------------------------------------------------------
+
+
+def labeled_reference(d):
+    """Max, witness codes and tree count by brute force over every labeled
+    tree realizing d, in the oracle's witness rule."""
+    count, best, near = 0, 0.0, []
+    for t in enumerate_trees(d):
+        count += 1
+        so = sombor_index(t)
+        if so >= best - REL_TOL * best:
+            best = max(best, so)
+            near.append((so, canonical_form(t)))
+    codes = {code for so, code in near if so >= best - REL_TOL * best}
+    return best, tuple(sorted(codes)), count
+
+
+def test_skeleton_oracle_matches_labeled_reference():
+    from sombortree.sweep import generate_degree_sequences
+
+    for d in generate_degree_sequences(10):
+        best, codes, count = labeled_reference(d)
+        res = oracle_max(d)
+        assert not res.capped
+        assert res.witnesses == codes, d
+        assert res.enumerated == count == prufer_space_size(d)
+        assert res.max_so == pytest.approx(best, rel=1e-12, abs=0)
+        assert [canonical_form(t) for t in res.witness_trees] == list(codes)
+        assert all(sombor_index(t) == res.max_so for t in res.witness_trees)
+
+
+def test_capped_oracle_matches_labeled_prefix():
+    d = validate([3, 3, 2, 2])
+    res = oracle_max(d, cap=7)
+    trees = list(enumerate_trees(d, cap=7))
+    best = max(sombor_index(t) for t in trees)
+    near = {canonical_form(t) for t in trees if sombor_index(t) >= best - REL_TOL * best}
+    assert res.capped and res.enumerated == 7 and res.max_so == best
+    assert res.witnesses == tuple(sorted(near))
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_oracle_rejects_cap_below_one(cap):
+    with pytest.raises(ValueError):
+        oracle_max(validate([3, 2, 2]), cap=cap)
 
 
 def test_oracle_322():
