@@ -8,8 +8,7 @@ that improves on the construction.
 import argparse
 import sys
 
-from sombortree.graph import REL_TOL, sombor_index, validate
-from sombortree.construct import construct_max_tree
+from sombortree.graph import exceeds
 from sombortree.sweep import generate_degree_sequences
 from sombortree.verify import anneal_search
 
@@ -23,9 +22,9 @@ def main():
 
     improved = []
     for d in generate_degree_sequences(args.max_n):
-        start_so = sombor_index(construct_max_tree(d))
         result = anneal_search(d, budget=args.budget, seed=args.seed)
-        if result.best_so > start_so + REL_TOL * start_so:
+        start_so = result.start_so
+        if exceeds(result.best_so, start_so):
             improved.append((d, start_so, result.best_so))
             print(f"IMPROVED {d}: {start_so:.9f} -> {result.best_so:.9f}")
     print(f"done: {len(improved)} improvements found")

@@ -13,10 +13,10 @@ import os
 import sys
 
 from sombortree.graph import (
-    REL_TOL,
     DegreeSequenceError,
     InvalidTreeError,
     Tree,
+    exceeds,
     sombor_index,
     validate,
 )
@@ -146,7 +146,7 @@ def _cmd_verify(args) -> int:
     c_so = sombor_index(constructed)
     result = oracle_max(d, cap=cap, workers=args.workers)
     gap = result.max_so - c_so
-    optimal = gap <= REL_TOL * result.max_so
+    optimal = not exceeds(result.max_so, c_so)
     payload = {
         "degrees": list(d.degrees),
         "n": d.vertex_count,
@@ -212,7 +212,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_search(args) -> int:
     d = _parse_degrees(args.degrees)
     result = anneal_search(d, budget=args.budget, seed=args.seed)
-    improved = result.best_so > result.start_so + REL_TOL * result.start_so
+    improved = exceeds(result.best_so, result.start_so)
     payload = {
         "degrees": list(d.degrees),
         "constructed_so": result.start_so,

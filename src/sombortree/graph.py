@@ -195,6 +195,13 @@ def edge_weight(x: int, y: int) -> float:
     return math.sqrt(x * x + y * y)
 
 
+def exceeds(x: float, ref: float) -> bool:
+    """True iff the Sombor value x beats ref by more than REL_TOL relative
+    to x; the one verdict for "optimal" (not exceeds(max, constructed)) and
+    "improved" (exceeds(found, constructed))."""
+    return x - ref > REL_TOL * x
+
+
 def sombor_index(t: Tree) -> float:
     """Sum of edge weights over all edges.
 

@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from sombortree.graph import REL_TOL, DegreeSequence, sombor_index
+from sombortree.graph import DegreeSequence, exceeds, sombor_index
 from sombortree.construct import construct_max_tree
 from sombortree.verify import (
     DEFAULT_CAP,
@@ -128,7 +128,7 @@ def evaluate_sequence(d: DegreeSequence, cap: int = DEFAULT_CAP) -> tuple:
         constructed_so=c_so,
         oracle_so=oracle.max_so,
         gap=gap,
-        optimal=gap <= REL_TOL * oracle.max_so,
+        optimal=not exceeds(oracle.max_so, c_so),
         capped=oracle.capped,
         local_max=is_local_max(constructed).is_local_max,
         theorem1_violations=check_theorem1(constructed).violations,

@@ -20,6 +20,7 @@ from math import factorial
 from sombortree.graph import (
     REL_TOL,
     DegreeSequence,
+    InvalidTreeError,
     Tree,
     canonical_form,
     leaf_layer_profile,
@@ -32,6 +33,14 @@ from sombortree.construct import (
 )
 
 DEFAULT_CAP = 10_000_000
+_SAMPLE_TRIES = 300  # draws before the annealer gives up on finding a swap
+
+
+def _weights(degrees) -> dict[tuple[int, int], float]:
+    """Edge weight sqrt(x^2 + y^2) for every ordered pair of the distinct
+    degrees; bit-identical to the terms of sombor_index."""
+    vals = set(degrees)
+    return {(x, y): math.sqrt(x * x + y * y) for x in vals for y in vals}
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +244,6 @@ class OracleResult:
         return json.dumps(self.to_dict())
 
 
-def _weight_table(degv: list[int]) -> list[list[float]]:
-    sqrt = math.sqrt
-    return [
-        [sqrt(du * du + dv * dv) for dv in degv] for du in degv
-    ]
-
-
 def _skeleton_scan(d: DegreeSequence):
     """Score every tree realizing d as (so, (parent, s, degrees)).
 
@@ -255,8 +257,7 @@ def _skeleton_scan(d: DegreeSequence):
     """
     m = d.m
     need = list(d.degrees)  # non-increasing
-    vals = set(need) | {1}
-    W = {(a, b): math.sqrt(a * a + b * b) for a in vals for b in vals}
+    W = _weights(need + [1])
     for parent in free_trees(m):
         s = [0] * m
         for v in range(1, m):
@@ -350,43 +351,41 @@ class SwapMove:
     recombination: int
 
     def new_edges(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        a, b = self.edge_a
-        c, d = self.edge_b
-        if self.recombination == 0:
-            return (a, c), (b, d)
-        return (a, d), (b, c)
+        return _recombine(*self.edge_a, *self.edge_b, self.recombination)
 
 
-def _components_without(t: Tree, ea, eb) -> list[int]:
-    """Component labels after deleting edges ea and eb (three components)."""
-    drop = {frozenset(ea), frozenset(eb)}
-    comp = [-1] * t.n
-    label = 0
-    for s in range(t.n):
-        if comp[s] != -1:
-            continue
-        comp[s] = label
-        stack = [s]
+def _recombine(a, b, c, d, r):
+    return ((a, c), (b, d)) if r == 0 else ((a, d), (b, c))
+
+
+def _valid_recombination(adj, a: int, b: int, c: int, d: int) -> int:
+    """The one recombination of the disjoint edges (a,b), (c,d) that gives
+    a tree again.
+
+    Deleting both edges leaves three components.  The endpoints joined by
+    the path between the two edges share the middle one, so each of them
+    must be paired with the far endpoint of the other edge; the other
+    recombination closes a cycle.  A search from a, cut at (a,b), meets
+    the near end of (c,d) first and stops there, so it never crosses
+    (c,d); when it meets neither end, b is the near end of (a,b) and a
+    second search from b finds the path.  adj[v] iterates v's neighbors.
+    """
+    for src, other in ((a, b), (b, a)):
+        seen = {src, other}
+        stack = [src]
         while stack:
-            v = stack.pop()
-            for u in t.adj[v]:
-                if comp[u] == -1 and frozenset((u, v)) not in drop:
-                    comp[u] = label
+            for u in adj[stack.pop()]:
+                if u not in seen:
+                    if u == c or u == d:
+                        # pair (a,d),(b,c) when a meets c or b meets d
+                        return int((u == c) == (src == a))
+                    seen.add(u)
                     stack.append(u)
-        label += 1
-    return comp
-
-
-def _swap_is_valid(comp, move: SwapMove) -> bool:
-    """The recombination must reconnect the three components into a tree."""
-    (p, q), (r, s) = move.new_edges()
-    c1 = frozenset((comp[p], comp[q]))
-    c2 = frozenset((comp[r], comp[s]))
-    return len(c1) == 2 and len(c2) == 2 and c1 != c2
+    raise InvalidTreeError(f"edges ({a},{b}) and ({c},{d}) are not on one tree")
 
 
 def two_swap_neighbors(t: Tree):
-    """Stream all valid SwapMoves of t (endpoint-disjoint edge pairs)."""
+    """Stream all valid SwapMoves of t, one per endpoint-disjoint edge pair."""
     edges = t.edges()
     for i in range(len(edges)):
         a, b = edges[i]
@@ -394,11 +393,8 @@ def two_swap_neighbors(t: Tree):
             c, d = edges[j]
             if a == c or a == d or b == c or b == d:
                 continue
-            comp = _components_without(t, edges[i], edges[j])
-            for r in (0, 1):
-                move = SwapMove(edges[i], edges[j], r)
-                if _swap_is_valid(comp, move):
-                    yield move
+            r = _valid_recombination(t.adj, a, b, c, d)
+            yield SwapMove(edges[i], edges[j], r)
 
 
 def apply_swap(t: Tree, move: SwapMove) -> Tree:
@@ -408,18 +404,20 @@ def apply_swap(t: Tree, move: SwapMove) -> Tree:
     return Tree.from_edges(t.n, edges)
 
 
+def _delta(W, deg, old1, old2, new1, new2) -> float:
+    """Sombor change of replacing edges old1, old2 by new1, new2 with every
+    degree untouched: only those four edge weights move."""
+    (a, b), (c, d), (p, q), (r, s) = old1, old2, new1, new2
+    return (
+        W[deg[p], deg[q]] + W[deg[r], deg[s]]
+        - W[deg[a], deg[b]] - W[deg[c], deg[d]]
+    )
+
+
 def swap_delta(t: Tree, move: SwapMove) -> float:
-    """Sombor change of a swap; degrees are untouched, so only the four
-    edge weights move."""
+    """Sombor change of a swap."""
     deg = t.degrees()
-    a, b = move.edge_a
-    c, d = move.edge_b
-    (p, q), (r, s) = move.new_edges()
-
-    def w(u, v):
-        return math.sqrt(deg[u] * deg[u] + deg[v] * deg[v])
-
-    return w(p, q) + w(r, s) - w(a, b) - w(c, d)
+    return _delta(_weights(deg), deg, move.edge_a, move.edge_b, *move.new_edges())
 
 
 @dataclass(frozen=True)
@@ -444,17 +442,20 @@ class LocalMaxReport:
         return out
 
 
-def is_local_max(t: Tree, tol: float = REL_TOL) -> LocalMaxReport:
-    """True iff no 2-swap raises the Sombor value by more than tol relative."""
+def is_local_max(t: Tree) -> LocalMaxReport:
+    """True iff no 2-swap raises the Sombor value by more than REL_TOL
+    relative."""
     base = sombor_index(t)
+    deg = t.degrees()
+    W = _weights(deg)
     best_move = None
     best_delta = 0.0
     for move in two_swap_neighbors(t):
-        delta = swap_delta(t, move)
+        delta = _delta(W, deg, move.edge_a, move.edge_b, *move.new_edges())
         if delta > best_delta:
             best_delta = delta
             best_move = move
-    if best_delta > tol * base:
+    if best_delta > REL_TOL * base:
         return LocalMaxReport(False, base, best_move, best_delta)
     return LocalMaxReport(True, base, None, best_delta)
 
@@ -619,48 +620,16 @@ class AnnealResult:
     accepted: int
 
 
-def _endpoint_labels(adj, a: int, b: int, c: int, d: int) -> dict[int, int]:
-    """Component labels of a, b, c, d after deleting edges (a,b) and (c,d).
+def _sample_valid_swap(rng: random.Random, edges, adjsets):
+    """A uniform-ish random valid swap as (i, j, new_edge_1, new_edge_2).
 
-    adj is a list of neighbor sets; the deletion splits the tree into
-    exactly three components.
+    Draws i, j and a recombination r, and keeps r only when it is the
+    valid one.
     """
-
-    def reach(src: int) -> set[int]:
-        seen = {src}
-        stack = [src]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if (
-                    (v == a and u == b)
-                    or (v == b and u == a)
-                    or (v == c and u == d)
-                    or (v == d and u == c)
-                ):
-                    continue
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return seen
-
-    comp_a = reach(a)
-    if c in comp_a:
-        return {a: 0, c: 0, b: 1, d: 2}
-    if d in comp_a:
-        return {a: 0, d: 0, b: 1, c: 2}
-    comp_b = reach(b)
-    if c in comp_b:
-        return {a: 0, b: 1, c: 1, d: 2}
-    return {a: 0, b: 1, d: 1, c: 2}
-
-
-def _sample_valid_swap(rng: random.Random, edges, adjsets, tries: int = 300):
-    """A uniform-ish random valid swap as (i, j, new_edge_1, new_edge_2)."""
     ne = len(edges)
     if ne < 2:
         return None
-    for _ in range(tries):
+    for _ in range(_SAMPLE_TRIES):
         i = rng.randrange(ne)
         j = rng.randrange(ne)
         if i == j:
@@ -669,15 +638,9 @@ def _sample_valid_swap(rng: random.Random, edges, adjsets, tries: int = 300):
         c, d = edges[j]
         if a == c or a == d or b == c or b == d:
             continue
-        if rng.randrange(2) == 0:
-            e1, e2 = (a, c), (b, d)
-        else:
-            e1, e2 = (a, d), (b, c)
-        lbl = _endpoint_labels(adjsets, a, b, c, d)
-        pair1 = frozenset((lbl[e1[0]], lbl[e1[1]]))
-        pair2 = frozenset((lbl[e2[0]], lbl[e2[1]]))
-        if len(pair1) == 2 and len(pair2) == 2 and pair1 != pair2:
-            return i, j, e1, e2
+        r = rng.randrange(2)
+        if r == _valid_recombination(adjsets, a, b, c, d):
+            return (i, j, *_recombine(a, b, c, d, r))
     return None
 
 
@@ -696,7 +659,7 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
 
     n = start.n
     deg = start.degrees()
-    W = _weight_table(list(deg))
+    W = _weights(deg)
     edges = start.edges()
     adjsets = [set(ns) for ns in start.adj]
 
@@ -707,10 +670,7 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
         if sample is None:
             break
         i, j, e1, e2 = sample
-        (a, b), (c, dd) = edges[i], edges[j]
-        deltas.append(
-            abs(W[e1[0]][e1[1]] + W[e2[0]][e2[1]] - W[a][b] - W[c][dd])
-        )
+        deltas.append(abs(_delta(W, deg, edges[i], edges[j], e1, e2)))
     temp = (sum(deltas) / len(deltas)) if deltas else 0.0
     if temp <= 0.0:
         temp = 1e-9
@@ -726,7 +686,7 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
         moves += 1
         i, j, e1, e2 = sample
         (a, b), (c, dd) = edges[i], edges[j]
-        delta = W[e1[0]][e1[1]] + W[e2[0]][e2[1]] - W[a][b] - W[c][dd]
+        delta = _delta(W, deg, edges[i], edges[j], e1, e2)
         if delta >= 0.0 or rng.random() < math.exp(delta / temp):
             adjsets[a].discard(b)
             adjsets[b].discard(a)

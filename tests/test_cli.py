@@ -150,6 +150,17 @@ def test_search_confirms_constructor(capsys):
     assert payload["best_so"] >= payload["constructed_so"] - 1e-12
 
 
+def test_search_matches_recorded_output(capsys):
+    # pinned bit for bit: the seeded annealer's output must not move
+    argv = ["search", "--degrees", "5,5,5,4,3,3,2,2", "--budget", "3000", "--seed", "11"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == (
+        '{"degrees": [5, 5, 5, 4, 3, 3, 2, 2], "constructed_so": 106.61257578712797, '
+        '"best_so": 106.61257578712797, "improved": false, "moves": 3000, '
+        '"accepted": 1775, "seed": 11, "budget": 3000}\n'
+    )
+
+
 def test_bad_degrees_exit_1(capsys):
     assert run(["construct", "--degrees", "3,x"]) == 1
     assert "usage" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -5,13 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sombortree.graph import REL_TOL, Tree, canonical_form, sombor_index, validate
+from sombortree.graph import (
+    REL_TOL,
+    InvalidTreeError,
+    Tree,
+    canonical_form,
+    sombor_index,
+    validate,
+)
 from sombortree.construct import (
     SubtreeSpec,
     construct_max_tree,
     materialize,
 )
 from sombortree.verify import (
+    SwapMove,
     anneal_search,
     apply_swap,
     attachment_profile,
@@ -277,6 +286,23 @@ def test_swaps_preserve_degrees(t):
         )
 
 
+@given(random_trees())
+@settings(max_examples=80, deadline=None)
+def test_one_valid_recombination_per_disjoint_pair(t):
+    edges = t.edges()
+    disjoint = [
+        (e, f) for i, e in enumerate(edges) for f in edges[i + 1 :] if not set(e) & set(f)
+    ]
+    moves = list(two_swap_neighbors(t))
+    assert [(m.edge_a, m.edge_b) for m in moves] == disjoint
+    for move in moves:
+        assert apply_swap(t, move).n == t.n
+        # from_edges' connectivity check is the independent reference
+        other = SwapMove(move.edge_a, move.edge_b, 1 - move.recombination)
+        with pytest.raises(InvalidTreeError):
+            apply_swap(t, other)
+
+
 def test_paper_tree_has_neutral_nonisomorphic_swap():
     t = construct_max_tree(validate([5, 5, 5, 4, 3, 3, 2, 2]))
     code = canonical_form(t)
@@ -425,3 +451,33 @@ def test_anneal_never_below_start():
     for seed in (1, 2, 3):
         result = anneal_search(validate([3, 3, 2, 2]), budget=3000, seed=seed)
         assert result.best_so >= result.start_so - 1e-12
+
+
+# Seeded runs pinned bit for bit: a change to the annealer's swap sampling
+# or edge weights must not move its RNG stream or its result.
+ANNEAL_GOLDEN = [
+    ((3, 2, 2), 2000, 42, "0x1.dfd3c6f0b5044p+3", 2000, 1239,
+     "e5d5ad38cb4fd2ec33990487ac8211b9dfab90d7295d5d9f4edaa2570404c1a6"),
+    ((4, 3, 2, 2), 2000, 123, "0x1.d9998b7fc987cp+4", 2000, 1048,
+     "e3b0b411a57e0a374faa2bc24fbfbaddb1953a6bf5c7b223cdf1d4bbc36cc036"),
+    ((5, 5, 5, 4, 3, 3, 2, 2), 5000, 7, "0x1.aa7347113024fp+6", 5000, 2701,
+     "ce0cc22c893b3aee542305bacca7970d2d3a08ee568775003b50ddf171751fab"),
+    # ten each of the degrees 8..16: n = 992
+    (tuple(8 + (7 * i) % 9 for i in range(90)), 100, 1, "0x1.995d511740670p+13",
+     100, 87, "dea685ff43a370df5de0a36b7047466a64fdb0a3451279141aeacfbb4dc30fb9"),
+]
+
+
+@pytest.mark.parametrize(
+    "degrees,budget,seed,best_so,moves,accepted,tree_sha",
+    ANNEAL_GOLDEN,
+    ids=["3,2,2", "4,3,2,2", "paper", "n992"],
+)
+def test_anneal_matches_recorded_stream(
+    degrees, budget, seed, best_so, moves, accepted, tree_sha
+):
+    result = anneal_search(validate(degrees), budget=budget, seed=seed)
+    assert result.best_so.hex() == best_so
+    assert (result.moves, result.accepted) == (moves, accepted)
+    digest = hashlib.sha256(result.best_tree.to_json().encode()).hexdigest()
+    assert digest == tree_sha
