@@ -5,68 +5,24 @@ merging, and verifies it against an exact free-tree enumeration oracle,
 degree-preserving 2-swap local search, and simulated annealing.
 """
 
-from sombortree.graph import (
-    DegreeSequence,
-    DegreePath,
-    LeafLayerProfile,
-    Tree,
-    canonical_form,
-    edge_weight,
-    leaf_layer_profile,
-    leaf_to_leaf_paths,
-    sombor_index,
-    validate,
-)
-from sombortree.construct import (
-    RootedSubtree,
-    SubtreeSpec,
-    attachment_site,
-    construct_max_tree,
-    decompose,
-    materialize,
-    merge_once,
-)
+from sombortree.graph import Tree, sombor_index, validate
+from sombortree.construct import construct_max_tree
 from sombortree.verify import (
-    OracleResult,
-    SwapMove,
     anneal_search,
-    attachment_profile,
     check_theorem1,
-    enumerate_trees,
     is_local_max,
     oracle_max,
-    prufer_to_tree,
-    two_swap_neighbors,
 )
 
 __all__ = [
-    "DegreeSequence",
-    "DegreePath",
-    "LeafLayerProfile",
     "Tree",
-    "canonical_form",
-    "edge_weight",
-    "leaf_layer_profile",
-    "leaf_to_leaf_paths",
-    "sombor_index",
     "validate",
-    "RootedSubtree",
-    "SubtreeSpec",
-    "attachment_site",
+    "sombor_index",
     "construct_max_tree",
-    "decompose",
-    "materialize",
-    "merge_once",
-    "OracleResult",
-    "SwapMove",
-    "anneal_search",
-    "attachment_profile",
-    "check_theorem1",
-    "enumerate_trees",
-    "is_local_max",
     "oracle_max",
-    "prufer_to_tree",
-    "two_swap_neighbors",
+    "is_local_max",
+    "check_theorem1",
+    "anneal_search",
 ]
 
 __version__ = "0.1.0"

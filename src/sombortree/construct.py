@@ -14,6 +14,7 @@ from sombortree.graph import (
     DegreeSequence,
     NoLeavesError,
     Tree,
+    _bfs,
     leaf_layer_profile,
 )
 
@@ -155,14 +156,8 @@ def construct_max_tree(d: DegreeSequence) -> Tree:
 def _relabel_bfs(t: Tree, root: int) -> Tree:
     """Relabel by BFS from root, visiting children by non-increasing degree."""
     deg = t.degrees()
-    remap = {root: 0}
-    order = [root]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for u in sorted(t.adj[v], key=lambda u: (-deg[u], u)):
-            if u not in remap:
-                remap[u] = len(order)
-                order.append(u)
+    by_degree = [sorted(ns, key=lambda u: (-deg[u], u)) for ns in t.adj]
+    remap = [0] * t.n
+    for i, v in enumerate(_bfs(by_degree, root)[0]):
+        remap[v] = i
     return Tree.from_edges(t.n, [(remap[u], remap[v]) for u, v in t.edges()])

@@ -67,7 +67,7 @@ class Tree:
             nbrs[u].append(v)
             nbrs[v].append(u)
         tree = cls(n, tuple(tuple(sorted(ns)) for ns in nbrs))
-        if n > 1 and len(_bfs_order(tree.adj, 0)) != n:
+        if len(_bfs(tree.adj, 0)[0]) != n:
             raise InvalidTreeError("graph is not connected")
         return tree
 
@@ -85,9 +85,6 @@ class Tree:
         if self.n == 1:
             return []
         return [v for v in range(self.n) if len(self.adj[v]) == 1]
-
-    def internal_vertices(self) -> list[int]:
-        return [v for v in range(self.n) if len(self.adj[v]) >= 2]
 
     def internal_degrees(self) -> tuple[int, ...]:
         """Degrees of non-leaf vertices, non-increasing."""
@@ -139,8 +136,6 @@ class DegreeSequence:
 
     @property
     def leaf_count(self) -> int:
-        if self.m == 0:
-            return 2
         return sum(self.degrees) - 2 * self.m + 2
 
     @property
@@ -162,7 +157,7 @@ def validate(degrees) -> DegreeSequence:
         if d < 2:
             raise EntryBelowTwoError(f"internal degree {d} < 2")
     seq = DegreeSequence(ds)
-    if seq.m >= 1 and seq.leaf_count < 2:
+    if seq.leaf_count < 2:
         raise InfeasibleError(f"degree sequence {ds} implies {seq.leaf_count} leaves")
     return seq
 
@@ -195,6 +190,18 @@ def edge_weight(x: int, y: int) -> float:
     return math.sqrt(x * x + y * y)
 
 
+def weight_table(degrees) -> dict[tuple[int, int], float]:
+    """edge_weight for every ordered pair of the distinct degrees.
+
+    The one source of edge weights: sombor_index sums its entries, and the
+    oracle's skeleton scan, the 2-swap scan and the annealer read the same
+    table, so their sums agree with sombor_index bit for bit.  Degree 0
+    (a lone vertex) ends no edge and gets no entry.
+    """
+    vals = set(degrees) - {0}
+    return {(x, y): edge_weight(x, y) for x in vals for y in vals}
+
+
 def exceeds(x: float, ref: float) -> bool:
     """True iff the Sombor value x beats ref by more than REL_TOL relative
     to x; the one verdict for "optimal" (not exceeds(max, constructed)) and
@@ -208,10 +215,9 @@ def sombor_index(t: Tree) -> float:
     Edges are accumulated in lexicographic (min id, max id) order with
     compensated summation, so the result is deterministic to ~1e-12.
     """
-    deg = [len(ns) for ns in t.adj]
-    return math.fsum(
-        math.sqrt(deg[u] * deg[u] + deg[v] * deg[v]) for u, v in t.edges()
-    )
+    deg = t.degrees()
+    W = weight_table(deg)
+    return math.fsum(W[deg[u], deg[v]] for u, v in t.edges())
 
 
 def leaf_layer_profile(t: Tree) -> LeafLayerProfile:
@@ -237,7 +243,7 @@ def leaf_to_leaf_paths(t: Tree) -> list[DegreePath]:
     leaves = t.leaves()
     paths = []
     for idx, a in enumerate(leaves):
-        parent = _bfs_parents(t.adj, a)
+        parent = _bfs(t.adj, a)[1]
         for b in leaves[idx + 1 :]:
             verts = [b]
             while verts[-1] != a:
@@ -261,24 +267,18 @@ def canonical_form(t: Tree) -> str:
 
 
 def tree_centers(adj) -> list[int]:
-    """The one or two center vertices, by iterative leaf stripping."""
-    n = len(adj)
-    deg = [len(ns) for ns in adj]
-    removed = [False] * n
-    layer = [v for v in range(n) if deg[v] <= 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            removed[v] = True
-            for u in adj[v]:
-                if not removed[u]:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return sorted(layer)
+    """The one or two center vertices: the middle of a longest path.
+
+    Double sweep: the last vertex a BFS reaches ends a longest path, and a
+    second BFS from there ends at the path's other end.
+    """
+    a = _bfs(adj, 0)[0][-1]
+    order, parent = _bfs(adj, a)
+    path = [order[-1]]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    k = len(path)
+    return sorted(path[(k - 1) // 2 : k // 2 + 1])
 
 
 def _rooted_code(adj, root: int) -> str:
@@ -287,8 +287,7 @@ def _rooted_code(adj, root: int) -> str:
     Iterative, children before parents in reverse BFS order, so deep trees
     cannot reach the recursion limit.
     """
-    order = _bfs_order(adj, root)
-    parent = _bfs_parents(adj, root)
+    order, parent = _bfs(adj, root)
     kids: list[list[str]] = [[] for _ in adj]
     for v in reversed(order):
         code = "(" + "".join(sorted(kids[v])) + ")"
@@ -302,32 +301,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _bfs_order(adj, start: int) -> list[int]:
-    seen = [False] * len(adj)
-    seen[start] = True
-    order = [start]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                order.append(u)
-    return order
-
-
-def _bfs_parents(adj, start: int) -> list[int]:
+def _bfs(adj, root: int) -> tuple[list[int], list[int]]:
+    """Vertices reachable from root in BFS order, neighbors in adj order,
+    and each vertex's BFS parent (-1 for root and unreached vertices)."""
     parent = [-1] * len(adj)
-    parent[start] = start
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
+    parent[root] = root
+    order = [root]
+    for v in order:  # order grows while it is walked
         for u in adj[v]:
             if parent[u] == -1:
                 parent[u] = v
-                queue.append(u)
-    parent[start] = -1
-    return parent
+                order.append(u)
+    parent[root] = -1
+    return order, parent

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from sombortree.graph import DegreeSequence, exceeds, sombor_index
@@ -15,20 +14,6 @@ from sombortree.verify import (
     is_local_max,
     oracle_max,
 )
-
-CSV_HEADER = [
-    "degrees",
-    "n",
-    "m",
-    "constructed_so",
-    "oracle_so",
-    "gap",
-    "optimal",
-    "capped",
-    "local_max",
-    "theorem1_violations",
-    "enumerated",
-]
 
 
 @dataclass(frozen=True)
@@ -46,35 +31,11 @@ class SweepRecord:
     enumerated: int
 
     def to_row(self) -> list[str]:
-        return [
-            self.degrees,
-            str(self.n),
-            str(self.m),
-            _fmt(self.constructed_so),
-            _fmt(self.oracle_so),
-            _fmt(self.gap),
-            _b(self.optimal),
-            _b(self.capped),
-            _b(self.local_max),
-            str(self.theorem1_violations),
-            str(self.enumerated),
-        ]
+        return [_WRITE.get(f.type, str)(getattr(self, f.name)) for f in fields(self)]
 
     @classmethod
     def from_row(cls, row: list[str]) -> "SweepRecord":
-        return cls(
-            degrees=row[0],
-            n=int(row[1]),
-            m=int(row[2]),
-            constructed_so=float(row[3]),
-            oracle_so=float(row[4]),
-            gap=float(row[5]),
-            optimal=row[6] == "true",
-            capped=row[7] == "true",
-            local_max=row[8] == "true",
-            theorem1_violations=int(row[9]),
-            enumerated=int(row[10]),
-        )
+        return cls(*(_READ[f.type](x) for f, x in zip(fields(cls), row)))
 
 
 def _fmt(x: float) -> str:
@@ -83,6 +44,13 @@ def _fmt(x: float) -> str:
 
 def _b(flag: bool) -> str:
     return "true" if flag else "false"
+
+
+# One CSV column per field, in field order, formatted by the field's type
+# (a string here, under `from __future__ import annotations`).
+CSV_HEADER = [f.name for f in fields(SweepRecord)]
+_WRITE = {"bool": _b, "float": _fmt}
+_READ = {"bool": lambda text: text == "true", "float": float, "int": int, "str": str}
 
 
 def generate_degree_sequences(max_n: int) -> list[DegreeSequence]:

@@ -18,13 +18,15 @@ from dataclasses import dataclass
 from math import factorial
 
 from sombortree.graph import (
-    REL_TOL,
     DegreeSequence,
     InvalidTreeError,
     Tree,
     canonical_form,
+    exceeds,
     leaf_layer_profile,
+    leaf_to_leaf_paths,
     sombor_index,
+    weight_table,
 )
 from sombortree.construct import (
     RootedSubtree,
@@ -34,13 +36,6 @@ from sombortree.construct import (
 
 DEFAULT_CAP = 10_000_000
 _SAMPLE_TRIES = 300  # draws before the annealer gives up on finding a swap
-
-
-def _weights(degrees) -> dict[tuple[int, int], float]:
-    """Edge weight sqrt(x^2 + y^2) for every ordered pair of the distinct
-    degrees; bit-identical to the terms of sombor_index."""
-    vals = set(degrees)
-    return {(x, y): math.sqrt(x * x + y * y) for x in vals for y in vals}
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +91,7 @@ def tree_to_prufer(t: Tree) -> tuple[int, ...]:
 
 def prufer_space_size(d: DegreeSequence) -> int:
     """(n-2)! / prod (d_i - 1)!  — count of labeled trees realizing d."""
-    n = d.vertex_count
-    if n == 2:
-        return 1
-    size = factorial(n - 2)
+    size = factorial(d.vertex_count - 2)
     for di in d.degrees:
         size //= factorial(di - 1)
     return size
@@ -127,10 +119,6 @@ def enumerate_trees(d: DegreeSequence, cap: int = DEFAULT_CAP):
     m..n-1.  Stops after cap trees.
     """
     n = d.vertex_count
-    if n == 2:
-        if cap >= 1:
-            yield Tree.from_edges(2, [(0, 1)])
-        return
     # ascending start: internal vertex i appears d_i - 1 times
     seq = [i for i, di in enumerate(d.degrees) for _ in range(di - 1)]
     count = 0
@@ -257,7 +245,7 @@ def _skeleton_scan(d: DegreeSequence):
     """
     m = d.m
     need = list(d.degrees)  # non-increasing
-    W = _weights(need + [1])
+    W = weight_table(need + [1])
     for parent in free_trees(m):
         s = [0] * m
         for v in range(1, m):
@@ -287,16 +275,16 @@ def _hang_leaves(key) -> Tree:
 
 
 def _maximizers(scored, build) -> tuple[float, dict[str, tuple[float, Tree]]]:
-    """Max score and its witnesses: code -> (so, tree) for every score
-    within REL_TOL of the max, one tree per canonical form."""
-    best = cut = 0.0  # every tree has positive Sombor value
+    """Max score and its witnesses: code -> (so, tree) for every score the
+    max does not exceed, one tree per canonical form."""
+    best = 0.0  # every tree has positive Sombor value
     wits: dict[str, tuple[float, Tree]] = {}
     for so, key in scored:
-        if so < cut:
+        if exceeds(best, so):
             continue
         if so > best:
-            best, cut = so, so - REL_TOL * so
-            wits = {c: w for c, w in wits.items() if w[0] >= cut}
+            best = so
+            wits = {c: w for c, w in wits.items() if not exceeds(best, w[0])}
         tree = build(key)
         wits.setdefault(canonical_form(tree), (so, tree))
     return best, wits
@@ -307,12 +295,12 @@ def oracle_max(
 ) -> OracleResult:
     """Exact maximum Sombor value over all trees realizing d.
 
-    Witnesses are all non-isomorphic maximizers within REL_TOL relative
-    of the max.  ``enumerated`` is the number of labeled trees covered,
-    prufer_space_size(d) or cap.  When that count exceeds cap only the
-    first cap labeled trees of enumerate_trees are scanned and the result
-    is inconclusive (capped=True); otherwise the scan runs over free
-    skeleton trees.  ``workers`` is accepted and ignored.
+    Witnesses are all non-isomorphic trees whose value the max does not
+    exceed (graph.exceeds).  ``enumerated`` is the number of labeled trees
+    covered, prufer_space_size(d) or cap.  When that count exceeds cap
+    only the first cap labeled trees of enumerate_trees are scanned and
+    the result is inconclusive (capped=True); otherwise the scan runs over
+    free skeleton trees.  ``workers`` is accepted and ignored.
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
@@ -417,7 +405,7 @@ def _delta(W, deg, old1, old2, new1, new2) -> float:
 def swap_delta(t: Tree, move: SwapMove) -> float:
     """Sombor change of a swap."""
     deg = t.degrees()
-    return _delta(_weights(deg), deg, move.edge_a, move.edge_b, *move.new_edges())
+    return _delta(weight_table(deg), deg, move.edge_a, move.edge_b, *move.new_edges())
 
 
 @dataclass(frozen=True)
@@ -443,11 +431,10 @@ class LocalMaxReport:
 
 
 def is_local_max(t: Tree) -> LocalMaxReport:
-    """True iff no 2-swap raises the Sombor value by more than REL_TOL
-    relative."""
+    """True iff no 2-swap gives a Sombor value that exceeds t's."""
     base = sombor_index(t)
     deg = t.degrees()
-    W = _weights(deg)
+    W = weight_table(deg)
     best_move = None
     best_delta = 0.0
     for move in two_swap_neighbors(t):
@@ -455,7 +442,7 @@ def is_local_max(t: Tree) -> LocalMaxReport:
         if delta > best_delta:
             best_delta = delta
             best_move = move
-    if best_delta > REL_TOL * base:
+    if exceeds(base + best_delta, base):
         return LocalMaxReport(False, base, best_move, best_delta)
     return LocalMaxReport(True, base, None, best_delta)
 
@@ -515,8 +502,6 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     d(v_i) >= d(v_{k-i+1}) >= d(v_j), even i the reverse, for
     i+1 <= j <= k-i+1.  Violations are reported, never raised.
     """
-    from sombortree.graph import leaf_to_leaf_paths
-
     records = []
     paths = leaf_to_leaf_paths(t)
     for path in paths:
@@ -601,9 +586,7 @@ def attachment_profile(t: Tree, s: RootedSubtree) -> AttachmentProfile:
     )
     best = max(e.so for e in entries)
     l1m = set(leaf_layer_profile(t).l1m_leaves)
-    l1m_ok = all(
-        e.so >= best - REL_TOL * best for e in entries if e.leaf in l1m
-    )
+    l1m_ok = all(not exceeds(best, e.so) for e in entries if e.leaf in l1m)
     return AttachmentProfile(tuple(entries), ties_ok, mono_ok, l1m_ok)
 
 
@@ -659,7 +642,7 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
 
     n = start.n
     deg = start.degrees()
-    W = _weights(deg)
+    W = weight_table(deg)
     edges = start.edges()
     adjsets = [set(ns) for ns in start.adj]
 

@@ -1,0 +1,53 @@
+"""Byte-identity gate: construct and sweep output pinned by SHA-256.
+
+The digests were recorded from the program before its tree kernel (BFS,
+edge-weight table, centers) was consolidated in graph.py; a change that
+moves one byte of the constructed trees or of the sweep CSV fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from sombortree.cli import run
+from sombortree.construct import construct_max_tree
+from sombortree.graph import validate
+from sombortree.sweep import generate_degree_sequences, sweep
+
+
+def sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_construct_json_every_sequence_to_n16():
+    seqs = [validate([])] + generate_degree_sequences(16)
+    assert len(seqs) == 1 + 507
+    text = "\n".join(construct_max_tree(d).to_json() for d in seqs)
+    assert sha(text) == "92553332685320c90ec5a0fc8906f45b90c0ae98e98eb4eae1c016ee7c71a536"
+
+
+# `sombor construct` stdout for the paper's example and the closed forms:
+# stars (m = 1) and paths (all degrees 2) well past exhaustive reach.
+CONSTRUCT_GOLDEN = {
+    "5,5,5,4,3,3,2,2": "d636d86dbf1a05d78abb680d9462417700f75aa527ccac3b7ec04d66a8f7ae8c",
+    "40": "a2c2bf24c02607aec524eb25ce8f59439ded27e33f2df9bcb32c4030aa6af668",
+    "1000": "ed412d5680caaa878bbbaaf7ceb1e4ae8ae7d27a5366f3412903d39c63116385",
+    ",".join(["2"] * 40): "9fddc5b900c1cdc3ac00ae62083b853e7f0f02f62e58ba46dbef7d7c3c62e4fe",
+    ",".join(["2"] * 1000): "fcff79940e1b4969af144c6f74965f97f96dcb306cf64e3f01c4fda3e8791322",
+}
+
+
+@pytest.mark.parametrize(
+    "degrees", list(CONSTRUCT_GOLDEN), ids=["paper", "star40", "star1000", "path40", "path1000"]
+)
+def test_construct_cli_output(degrees, capsys):
+    assert run(["construct", "--degrees", degrees]) == 0
+    assert sha(capsys.readouterr().out) == CONSTRUCT_GOLDEN[degrees]
+
+
+def test_sweep_csv_n10(tmp_path):
+    out = tmp_path / "sweep.csv"
+    sweep(10, out_csv=out)
+    assert sha(out.read_bytes()) == "7eec03ab6cbb8dcd3f21ecf9b53172332ac1918772be5adafa2c4bbe3bc8d062"

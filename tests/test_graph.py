@@ -309,3 +309,28 @@ def test_canonical_form_deep_path():
 
 def test_degree_sequence_str():
     assert str(DegreeSequence((3, 2, 2))) == "3,2,2"
+
+
+def _eccentricity(adj, v):
+    """Distance from v to its farthest vertex: the number of BFS levels."""
+    seen = {v}
+    level = [v]
+    ecc = 0
+    while True:
+        nxt = []
+        for w in level:
+            for u in adj[w]:
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        if not nxt:
+            return ecc
+        level = nxt
+        ecc += 1
+
+
+@given(random_trees(min_n=2, max_n=40))
+@settings(max_examples=200)
+def test_tree_centers_minimize_eccentricity(t):
+    ecc = [_eccentricity(t.adj, v) for v in range(t.n)]
+    assert tree_centers(t.adj) == [v for v in range(t.n) if ecc[v] == min(ecc)]
