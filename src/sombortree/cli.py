@@ -109,11 +109,14 @@ def build_parser() -> _Parser:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _cmd_construct(args) -> int:

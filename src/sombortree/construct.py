@@ -4,11 +4,18 @@ The degree sequence is decomposed into rooted subtrees (a run of chain
 subtrees followed by one base subtree), which are then merged back to
 front by identifying each chain root with a leaf whose neighbor has the
 minimum leaf-adjacent degree.
+
+construct_max_tree does this in one pass over one growing adjacency, in
+O(n log n): every vertex has its final degree when it is laid out, so a
+leaf's key (neighbor degree, leaf id) never changes and one heap yields
+each attachment site.  materialize, merge_once and attachment_site are
+the same steps on whole Trees, one merge at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from sombortree.graph import (
     DegreeSequence,
@@ -64,21 +71,21 @@ def decompose(d: DegreeSequence) -> list[SubtreeSpec]:
     Worklist semantics: while the smallest remaining degree ds fits
     ds <= count - 2, emit a chain rooted at degree ds whose children take
     the ds - 1 largest remaining degrees; otherwise emit the base using
-    everything left (padded with filler leaves) and stop.
+    everything left (padded with filler leaves) and stop.  What remains is
+    the slice deg[lo:hi], so each step costs only its own chain.
     """
     if d.m < 1:
         raise ValueError("decompose needs at least one internal degree")
-    work = list(d.degrees)  # non-increasing
+    deg = d.degrees  # non-increasing
+    lo, hi = 0, d.m
     specs = []
-    while work[-1] <= len(work) - 2:
-        ds = work.pop()
-        children = tuple(work[: ds - 1])
-        del work[: ds - 1]
-        specs.append(SubtreeSpec(CHAIN, ds, children))
-    ds = work.pop()
-    specs.append(
-        SubtreeSpec(BASE, ds, tuple(work), filler_leaves=ds - len(work))
-    )
+    while deg[hi - 1] <= hi - lo - 2:
+        hi -= 1
+        ds = deg[hi]
+        specs.append(SubtreeSpec(CHAIN, ds, deg[lo : lo + ds - 1]))
+        lo += ds - 1
+    ds, rest = deg[hi - 1], deg[lo : hi - 1]
+    specs.append(SubtreeSpec(BASE, ds, rest, filler_leaves=ds - len(rest)))
     return specs
 
 
@@ -140,24 +147,37 @@ def merge_at(t: Tree, s: RootedSubtree, leaf: int) -> Tree:
 
 
 def construct_max_tree(d: DegreeSequence) -> Tree:
-    """Materialize the base, merge chains back to front, relabel by BFS.
+    """Lay out the base, then each chain back to front at the attachment
+    site, and relabel by BFS from the base root, visiting children by
+    non-increasing degree.  Ids before the relabel are those materialize +
+    merge_once give: a chain root takes the chosen leaf's id, its other
+    vertices the next free ids in materialize order.
 
     The empty sequence gives the single edge; m = 1 gives the star.
     """
     if d.m == 0:
         return Tree.from_edges(2, [(0, 1)])
-    specs = decompose(d)
-    t = materialize(specs[-1]).tree
-    for spec in reversed(specs[:-1]):
-        t = merge_once(t, materialize(spec))
-    return _relabel_bfs(t, root=0)
-
-
-def _relabel_bfs(t: Tree, root: int) -> Tree:
-    """Relabel by BFS from root, visiting children by non-increasing degree."""
-    deg = t.degrees()
-    by_degree = [sorted(ns, key=lambda u: (-deg[u], u)) for ns in t.adj]
-    remap = [0] * t.n
-    for i, v in enumerate(_bfs(by_degree, root)[0]):
+    adj: list[list[int]] = [[]]
+    sites: list[tuple[int, int]] = []  # heap of (neighbor degree, leaf id)
+    for spec in reversed(decompose(d)):
+        root = heappop(sites)[1] if sites else 0
+        k = len(spec.child_degrees)
+        kids = range(len(adj), len(adj) + k + spec.filler_leaves)
+        for c in kids:
+            adj[root].append(c)
+            adj.append([root])
+        for c in kids[k:]:
+            heappush(sites, (spec.root_degree, c))
+        for c, cdeg in zip(kids, spec.child_degrees):
+            for leaf in range(len(adj), len(adj) + cdeg - 1):
+                adj[c].append(leaf)
+                adj.append([c])
+                heappush(sites, (cdeg, leaf))
+    deg = [len(ns) for ns in adj]
+    by_degree = [sorted(ns, key=lambda u: (-deg[u], u)) for ns in adj]
+    remap = [0] * len(adj)
+    for i, v in enumerate(_bfs(by_degree, 0)[0]):
         remap[v] = i
-    return Tree.from_edges(t.n, [(remap[u], remap[v]) for u, v in t.edges()])
+    return Tree.from_edges(
+        len(adj), [(remap[u], remap[v]) for u, ns in enumerate(adj) for v in ns if u < v]
+    )

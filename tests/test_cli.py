@@ -127,6 +127,16 @@ def test_score_malformed_json_exit_1(capsys, tmp_path, text):
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("target", ["missing/t.json", "."], ids=["missing_dir", "directory"])
+def test_construct_out_unwritable_exit_1(capsys, tmp_path, target):
+    out = tmp_path / target
+    assert run(["construct", "--degrees", "3,2,2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_check_reports(capsys):
     assert run(["check", "--degrees", "5,5,5,4,3,3,2,2"]) == 0
     payload = json.loads(capsys.readouterr().out)

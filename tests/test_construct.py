@@ -247,6 +247,31 @@ def test_construct_realizes_sequence(d):
     assert t.n == d.vertex_count
 
 
+def reference_construct(d):
+    """The construction one merge at a time: materialize the base, merge_once
+    each chain back to front, relabel by BFS from vertex 0 visiting children
+    by (-degree, id)."""
+    specs = decompose(d)
+    t = materialize(specs[-1]).tree
+    for spec in reversed(specs[:-1]):
+        t = merge_once(t, materialize(spec))
+    order, seen = [0], {0}
+    for v in order:
+        for u in sorted(t.adj[v], key=lambda u: (-t.degree(u), u)):
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    remap = {v: i for i, v in enumerate(order)}
+    return Tree.from_edges(t.n, [(remap[u], remap[v]) for u, v in t.edges()])
+
+
+@given(st.lists(st.integers(2, 12), min_size=1, max_size=80))
+@settings(max_examples=100, deadline=None)
+def test_construct_matches_merge_reference(degrees):
+    d = validate(degrees)
+    assert construct_max_tree(d).to_json() == reference_construct(d).to_json()
+
+
 def test_last_merge_site_beats_alternatives():
     # attaching the final chain anywhere other than L1^m never wins
     from sombortree.sweep import generate_degree_sequences

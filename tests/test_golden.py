@@ -1,11 +1,13 @@
 """Byte-identity gate: construct and sweep output pinned by SHA-256.
 
 The digests were recorded from the program before its tree kernel (BFS,
-edge-weight table, centers) was consolidated in graph.py; a change that
-moves one byte of the constructed trees or of the sweep CSV fails here.
+edge-weight table, centers) was consolidated in graph.py, and the m = 2000
+ones from the construction that rebuilt the tree on every merge; a change
+that moves one byte of the constructed trees or of the sweep CSV fails here.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -45,6 +47,35 @@ CONSTRUCT_GOLDEN = {
 def test_construct_cli_output(degrees, capsys):
     assert run(["construct", "--degrees", degrees]) == 0
     assert sha(capsys.readouterr().out) == CONSTRUCT_GOLDEN[degrees]
+
+
+def seeded_degrees(seed, m, hi):
+    rng = random.Random(seed)
+    return validate([rng.randint(2, hi) for _ in range(m)])
+
+
+# Seeded random lists at m = 2000, far past the one-merge-at-a-time
+# construction's reach in the tests above (n = 6,064 and 39,270).
+@pytest.mark.parametrize(
+    "seed, hi, digest",
+    [
+        (2000, 6, "d0097eb1c1decf64460a1bb240a30396488a3f88e8d5f433d94089ee25937d15"),
+        (2001, 40, "b0af4c63d39625689ffd55dbcb65114488ab229ef48b8c54809285d7be17e383"),
+    ],
+    ids=["m2000_deg2to6", "m2000_deg2to40"],
+)
+def test_construct_json_m2000(seed, hi, digest):
+    d = seeded_degrees(seed, 2000, hi)
+    assert sha(construct_max_tree(d).to_json()) == digest
+
+
+def test_construct_realizes_m20000():
+    # no timer: a construction quadratic in m would take many minutes here
+    d = seeded_degrees(20000, 20000, 6)
+    t = construct_max_tree(d)
+    assert t.n == d.vertex_count
+    assert t.internal_degrees() == d.degrees
+    assert len(t.leaves()) == d.leaf_count
 
 
 def test_sweep_csv_n10(tmp_path):
