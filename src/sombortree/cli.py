@@ -21,13 +21,7 @@ from sombortree.graph import (
     validate,
 )
 from sombortree.construct import construct_max_tree
-from sombortree.verify import (
-    DEFAULT_CAP,
-    anneal_search,
-    check_theorem1,
-    is_local_max,
-    oracle_max,
-)
+from sombortree.verify import anneal_search, check_theorem1, is_local_max, oracle_max
 from sombortree.sweep import sweep as run_sweep
 
 EXIT_OK = 0
@@ -49,11 +43,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _cap(args) -> int:
-    """--cap, else the SOMBOR_CAP environment variable, else DEFAULT_CAP."""
+def _cap(args) -> int | None:
+    """--cap, else the SOMBOR_CAP environment variable, else None: no cap,
+    so the oracle is exact."""
     source, cap = "--cap", args.cap
     if cap is None:
-        source, env = "SOMBOR_CAP", os.environ.get("SOMBOR_CAP", str(DEFAULT_CAP))
+        source, env = "SOMBOR_CAP", os.environ.get("SOMBOR_CAP")
+        if env is None:
+            return None
         try:
             cap = int(env)
         except ValueError:

@@ -212,8 +212,9 @@ def exceeds(x: float, ref: float) -> bool:
 def sombor_index(t: Tree) -> float:
     """Sum of edge weights over all edges.
 
-    Edges are accumulated in lexicographic (min id, max id) order with
-    compensated summation, so the result is deterministic to ~1e-12.
+    math.fsum is correctly rounded, so the result is the exact sum of the
+    edge weights rounded once: trees with equal multisets of edge weights
+    get equal bits, whatever the order of their edges.
     """
     deg = t.degrees()
     W = weight_table(deg)

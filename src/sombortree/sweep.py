@@ -8,12 +8,7 @@ from pathlib import Path
 
 from sombortree.graph import DegreeSequence, exceeds, sombor_index
 from sombortree.construct import construct_max_tree
-from sombortree.verify import (
-    DEFAULT_CAP,
-    check_theorem1,
-    is_local_max,
-    oracle_max,
-)
+from sombortree.verify import check_theorem1, is_local_max, oracle_max
 
 
 @dataclass(frozen=True)
@@ -83,8 +78,11 @@ def _partitions(total: int, m: int, maxpart: int):
             yield (first,) + rest
 
 
-def evaluate_sequence(d: DegreeSequence, cap: int = DEFAULT_CAP) -> tuple:
-    """One sweep row plus the witness trees behind it."""
+def evaluate_sequence(d: DegreeSequence, cap: int | None = None) -> tuple:
+    """One sweep row plus the witness trees behind it.
+
+    Without a cap the oracle is exact; see verify.oracle_max.
+    """
     constructed = construct_max_tree(d)
     c_so = sombor_index(constructed)
     oracle = oracle_max(d, cap=cap)
@@ -107,12 +105,13 @@ def evaluate_sequence(d: DegreeSequence, cap: int = DEFAULT_CAP) -> tuple:
 
 def sweep(
     max_n: int,
-    cap: int = DEFAULT_CAP,
+    cap: int | None = None,
     out_csv: str | Path | None = None,
     witness_dir: str | Path | None = None,
 ) -> list[SweepRecord]:
     """Run constructor vs oracle for every sequence with n <= max_n.
 
+    There is no default cap: every row is exact unless a cap is given.
     Non-optimal uncapped rows dump both witness trees as JSON next to the
     CSV (or into witness_dir).
     """

@@ -2,10 +2,11 @@
 
 Exact maximum by a scan over free skeleton trees (the trees left after
 deleting the leaves, one per isomorphism class) with every placement of
-the degrees on them, deduplicated by canonical form; a capped scan walks
-the labeled trees of the Prüfer bijection instead.  Also degree-preserving
-2-swap local search, path-inequality and attachment-site checkers, and a
-seeded simulated annealer for instances beyond exhaustive reach.
+the degrees on them, deduplicated by canonical form; only an explicit cap
+below the labeled tree count walks a prefix of the labeled trees of the
+Prüfer bijection instead.  Also degree-preserving 2-swap local search,
+path-inequality and attachment-site checkers, and a seeded simulated
+annealer for instances beyond exhaustive reach.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from sombortree.construct import (
     merge_at,
 )
 
-DEFAULT_CAP = 10_000_000
 _SAMPLE_TRIES = 300  # draws before the annealer gives up on finding a swap
 
 
@@ -112,17 +112,17 @@ def _next_permutation(a: list[int]) -> bool:
     return True
 
 
-def enumerate_trees(d: DegreeSequence, cap: int = DEFAULT_CAP):
+def enumerate_trees(d: DegreeSequence, cap: int | None = None):
     """Stream every labeled tree realizing d, in lexicographic Prüfer order.
 
     Internal vertices are 0..m-1 (vertex i with degree d_i), leaves
-    m..n-1.  Stops after cap trees.
+    m..n-1.  Stops after cap trees when a cap is given.
     """
     n = d.vertex_count
     # ascending start: internal vertex i appears d_i - 1 times
     seq = [i for i, di in enumerate(d.degrees) for _ in range(di - 1)]
     count = 0
-    while count < cap:
+    while cap is None or count < cap:
         yield prufer_to_tree(seq, n)
         count += 1
         if not _next_permutation(seq):
@@ -141,6 +141,10 @@ def free_trees(m: int):
     decreasing lexicographic order (Beyer & Hedetniemi), keeps those rooted
     at a center, and from a rejected sequence jumps to the next one that
     can be kept, skipping only sequences that would be rejected too.
+
+    The height h of the first root subtree never grows along the walk, and
+    it starts at m // 2 - 1 (the path), so 2 * h + 2 <= m always holds: a
+    rest of height h always fits.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -164,14 +168,11 @@ def free_trees(m: int):
                 # every later sequence with this first subtree has a rest
                 # no taller and no larger, so jump past them all
                 p = cut - 1
-            elif 2 * h + 2 <= m:
+            else:
                 # a rest of height h needs h vertices; the sequences down to
                 # the first subtree cut short by that many are all rejected
                 level[m - h :] = range(1, h + 1)
                 continue
-            else:
-                # no tree whose first subtree is this tall has a center root
-                p = h + 1
         q = p - 1
         while level[q] != level[p] - 1:
             q -= 1
@@ -291,21 +292,23 @@ def _maximizers(scored, build) -> tuple[float, dict[str, tuple[float, Tree]]]:
 
 
 def oracle_max(
-    d: DegreeSequence, cap: int = DEFAULT_CAP, workers: int = 1
+    d: DegreeSequence, cap: int | None = None, workers: int = 1
 ) -> OracleResult:
     """Exact maximum Sombor value over all trees realizing d.
 
     Witnesses are all non-isomorphic trees whose value the max does not
     exceed (graph.exceeds).  ``enumerated`` is the number of labeled trees
-    covered, prufer_space_size(d) or cap.  When that count exceeds cap
-    only the first cap labeled trees of enumerate_trees are scanned and
-    the result is inconclusive (capped=True); otherwise the scan runs over
-    free skeleton trees.  ``workers`` is accepted and ignored.
+    covered, prufer_space_size(d) or cap.  There is no default cap: without
+    one, or with one at or above that count, the scan runs over free
+    skeleton trees and is exact.  When the count exceeds an explicit cap,
+    only the first cap labeled trees of enumerate_trees are scanned and the
+    result is inconclusive (capped=True).  ``workers`` is accepted and
+    ignored.
     """
-    if cap < 1:
+    if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     total = prufer_space_size(d)
-    capped = total > cap
+    capped = cap is not None and total > cap
     # the single edge has no internal vertex to form a skeleton
     if capped or d.m == 0:
         scored = ((sombor_index(t), t) for t in enumerate_trees(d, cap))
@@ -315,7 +318,7 @@ def oracle_max(
     codes = sorted(wits)
     return OracleResult(
         max_so=best,
-        enumerated=min(total, cap),
+        enumerated=cap if capped else total,
         witnesses=tuple(codes),
         capped=capped,
         witness_trees=tuple(wits[c][1] for c in codes),
@@ -550,7 +553,7 @@ class AttachmentEntry:
 @dataclass(frozen=True)
 class AttachmentProfile:
     entries: tuple[AttachmentEntry, ...]
-    equal_degree_ties_ok: bool  # same neighbor degree => same SO (1e-12 rel)
+    equal_degree_ties_ok: bool  # same neighbor degree => bit-identical SO
     non_increasing_ok: bool  # SO non-increasing in neighbor degree
     l1m_attains_max_ok: bool  # every L1^m leaf attains the maximum
 
@@ -572,21 +575,19 @@ def attachment_profile(t: Tree, s: RootedSubtree) -> AttachmentProfile:
         entries.append(
             AttachmentEntry(leaf, nb, t.degree(nb), sombor_index(merged))
         )
-    tie_tol = 1e-12
+    # Leaves with one neighbor degree give merged trees with one multiset of
+    # edge weights, and fsum is correctly rounded, so their values are equal
+    # bits; rounding is monotone, so it keeps the true order.  Every check
+    # is exact.
     by_degree: dict[int, list[float]] = {}
     for e in entries:
         by_degree.setdefault(e.neighbor_degree, []).append(e.so)
-    ties_ok = all(
-        max(vals) - min(vals) <= tie_tol * max(vals) for vals in by_degree.values()
-    )
-    degs = sorted(by_degree)
-    reps = [by_degree[g][0] for g in degs]
-    mono_ok = all(
-        reps[i] >= reps[i + 1] - tie_tol * reps[i] for i in range(len(reps) - 1)
-    )
+    ties_ok = all(len(set(vals)) == 1 for vals in by_degree.values())
+    reps = [by_degree[g][0] for g in sorted(by_degree)]
+    mono_ok = all(reps[i] >= reps[i + 1] for i in range(len(reps) - 1))
     best = max(e.so for e in entries)
     l1m = set(leaf_layer_profile(t).l1m_leaves)
-    l1m_ok = all(not exceeds(best, e.so) for e in entries if e.leaf in l1m)
+    l1m_ok = all(e.so == best for e in entries if e.leaf in l1m)
     return AttachmentProfile(tuple(entries), ties_ok, mono_ok, l1m_ok)
 
 

@@ -3,9 +3,14 @@ import math
 
 import pytest
 
+import sombortree.sweep
 from sombortree.cli import run
-from sombortree.graph import Tree, sombor_index
+from sombortree.construct import construct_max_tree
+from sombortree.graph import Tree, canonical_form, sombor_index, validate
 from sombortree.sweep import read_csv
+
+# not the maximum for 3,2,2: both 2s hang off the 3
+SPIDER_322 = Tree.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)])
 
 
 def test_construct_edges_format(capsys):
@@ -151,6 +156,71 @@ def test_sweep_csv(capsys, tmp_path):
     payload = json.loads(capsys.readouterr().out)
     assert payload["rows"] == 11 and payload["non_optimal"] == 0
     assert len(read_csv(out)) == 11
+
+
+def test_verify_without_cap_is_exact_past_ten_million_labeled_trees(capsys, monkeypatch):
+    monkeypatch.delenv("SOMBOR_CAP", raising=False)
+    assert run(["verify", "--degrees", ",".join(["2"] * 11)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["capped"] is False and payload["optimal"] is True
+    assert payload["enumerated"] == 39916800
+    path = Tree.from_edges(13, [(i, i + 1) for i in range(12)])
+    assert payload["witnesses"] == [canonical_form(path)]
+
+
+def test_sweep_without_cap_is_exact_at_n13(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("SOMBOR_CAP", raising=False)
+    out = tmp_path / "report.csv"
+    assert run(["sweep", "--max-n", "13", "--out", str(out)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"rows": 194, "non_optimal": 0, "capped": 0, "csv": str(out)}
+    rows = read_csv(out)
+    assert len(rows) == 194 and not any(r.capped for r in rows)
+
+
+def test_sweep_max_n_below_3_exit_1(capsys, tmp_path):
+    out = tmp_path / "report.csv"
+    assert run(["sweep", "--max-n", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sweep_out_missing_dir_exit_1(capsys, tmp_path):
+    out = tmp_path / "missing" / "report.csv"
+    assert run(["sweep", "--max-n", "5", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_sweep_capped_exits_2(capsys, tmp_path):
+    out = tmp_path / "report.csv"
+    assert run(["sweep", "--max-n", "6", "--cap", "3", "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["capped"] > 0 and payload["non_optimal"] == 0
+    assert sum(r.capped for r in read_csv(out)) == payload["capped"]
+
+
+def test_sweep_counterexample_exits_3_with_witnesses(capsys, monkeypatch, tmp_path):
+    def planted(d):
+        return SPIDER_322 if d.degrees == (3, 2, 2) else construct_max_tree(d)
+
+    monkeypatch.setattr(sombortree.sweep, "construct_max_tree", planted)
+    wdir = tmp_path / "witnesses"
+    argv = ["sweep", "--max-n", "6", "--out", str(tmp_path / "r.csv"),
+            "--witness-dir", str(wdir)]
+    assert run(argv) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["non_optimal"] == 1 and payload["capped"] == 0
+    names = sorted(f.name for f in wdir.iterdir())
+    assert names == ["witness_3-2-2_constructed.json", "witness_3-2-2_oracle.json"]
+    constructed, oracle = (Tree.from_json((wdir / f).read_text()) for f in names)
+    assert canonical_form(constructed) == canonical_form(SPIDER_322)
+    best = construct_max_tree(validate([3, 2, 2]))
+    assert canonical_form(oracle) == canonical_form(best)
 
 
 def test_search_confirms_constructor(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 from collections import Counter
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -130,11 +131,11 @@ def test_space_size_matches_enumeration():
 
 # -- free trees --------------------------------------------------------------
 
-# OEIS A000055: free trees on m unlabeled vertices, m = 0, 1, ..., 14
-A000055 = [1, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
+# OEIS A000055: free trees on m unlabeled vertices, m = 0, 1, ..., 16
+A000055 = [1, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
 
 
-@pytest.mark.parametrize("m", range(1, 15))
+@pytest.mark.parametrize("m", range(1, 17))
 def test_free_trees_count_and_distinct(m):
     codes = []
     for parent in free_trees(m):
@@ -190,6 +191,15 @@ def test_capped_oracle_matches_labeled_prefix():
     near = {canonical_form(t) for t in trees if sombor_index(t) >= best - REL_TOL * best}
     assert res.capped and res.enumerated == 7 and res.max_so == best
     assert res.witnesses == tuple(sorted(near))
+
+
+def test_uncapped_oracle_is_exact_beyond_ten_million_labeled_trees():
+    # eleven 2s: 11! labeled trees, one free tree on the skeleton
+    d = validate([2] * 11)
+    res = oracle_max(d)
+    assert not res.capped and res.enumerated == factorial(11) == 39_916_800
+    assert res.witnesses == (canonical_form(construct_max_tree(d)),)
+    assert res.max_so == math.fsum([math.sqrt(5)] * 2 + [math.sqrt(8)] * 10)
 
 
 @pytest.mark.parametrize("cap", [0, -5])
