@@ -4,7 +4,8 @@ Exact maximum by a scan over free skeleton trees (the trees left after
 deleting the leaves, one per isomorphism class) with every placement of
 the degrees on them, deduplicated by canonical form; only an explicit cap
 below the labeled tree count walks a prefix of the labeled trees of the
-Prüfer bijection instead.  Also degree-preserving 2-swap local search,
+Prüfer bijection instead.  Also degree-preserving 2-swap local search
+(one swap-validity test on a parent array rooted at vertex 0),
 path-inequality and attachment-site checkers, and a seeded simulated
 annealer for instances beyond exhaustive reach.
 """
@@ -20,8 +21,8 @@ from math import factorial
 
 from sombortree.graph import (
     DegreeSequence,
-    InvalidTreeError,
     Tree,
+    _bfs,
     canonical_form,
     exceeds,
     leaf_layer_profile,
@@ -349,42 +350,64 @@ def _recombine(a, b, c, d, r):
     return ((a, c), (b, d)) if r == 0 else ((a, d), (b, c))
 
 
-def _valid_recombination(adj, a: int, b: int, c: int, d: int) -> int:
-    """The one recombination of the disjoint edges (a,b), (c,d) that gives
+def _valid_recombination(parent, a: int, b: int, c: int, d: int):
+    """(r, x, y, nest): r is the one recombination of the disjoint edges
+    (a,b), (c,d) of the tree rooted by parent (-1 at the root) that gives
     a tree again.
 
-    Deleting both edges leaves three components.  The endpoints joined by
-    the path between the two edges share the middle one, so each of them
-    must be paired with the far endpoint of the other edge; the other
-    recombination closes a cycle.  A search from a, cut at (a,b), meets
-    the near end of (c,d) first and stops there, so it never crosses
-    (c,d); when it meets neither end, b is the near end of (a,b) and a
-    second search from b finds the path.  adj[v] iterates v's neighbors.
+    Deleting both edges leaves three components.  The near end of each
+    edge (on the other edge's side) lies in the middle one, so it must be
+    paired with the far end of the other edge; the other recombination
+    closes a cycle.  With x, y the child ends of (a,b), (c,d), the near end
+    of (a,b) is x when y lies in x's subtree (nest 1), else x's parent; of
+    (c,d), y when x lies in y's (nest 2).  Each test is a walk up, O(depth).
     """
-    for src, other in ((a, b), (b, a)):
-        seen = {src, other}
-        stack = [src]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    if u == c or u == d:
-                        # pair (a,d),(b,c) when a meets c or b meets d
-                        return int((u == c) == (src == a))
-                    seen.add(u)
-                    stack.append(u)
-    raise InvalidTreeError(f"edges ({a},{b}) and ({c},{d}) are not on one tree")
+    x = a if parent[a] == b else b
+    y = c if parent[c] == d else d
+    v = parent[y]
+    while v != x and v != -1:
+        v = parent[v]
+    if v == x:
+        nest = 1
+    else:
+        v = parent[x]
+        while v != y and v != -1:
+            v = parent[v]
+        nest = 2 if v == y else 0
+    near_ab = x if nest == 1 else parent[x]
+    near_cd = y if nest == 2 else parent[y]
+    # pair (a,d),(b,c) when a and c are both near ends, or neither is
+    return int((near_cd == c) == (near_ab == a)), x, y, nest
+
+
+def _reroot(parent, x: int, y: int, nest: int) -> None:
+    """Keep parent the rooting at 0 after the valid swap of the edges above
+    x and y (as _valid_recombination reports them), in place, O(depth)."""
+    if nest == 2:
+        x, y = y, x
+    px, py = parent[x], parent[y]
+    if nest == 0:  # both subtrees hang from the top component: trade them
+        parent[x], parent[y] = py, px
+        return
+    # y below x: the part of x's subtree above y now hangs from px by py
+    # and holds y's subtree at x, so the path py..x turns around
+    u, v = px, py
+    while u != x:
+        parent[v], u, v = u, v, parent[v]
+    parent[y] = x
 
 
 def two_swap_neighbors(t: Tree):
     """Stream all valid SwapMoves of t, one per endpoint-disjoint edge pair."""
     edges = t.edges()
+    parent = _bfs(t.adj, 0)[1]
     for i in range(len(edges)):
         a, b = edges[i]
         for j in range(i + 1, len(edges)):
             c, d = edges[j]
             if a == c or a == d or b == c or b == d:
                 continue
-            r = _valid_recombination(t.adj, a, b, c, d)
+            r = _valid_recombination(parent, a, b, c, d)[0]
             yield SwapMove(edges[i], edges[j], r)
 
 
@@ -604,8 +627,18 @@ class AnnealResult:
     accepted: int
 
 
-def _sample_valid_swap(rng: random.Random, edges, adjsets):
-    """A uniform-ish random valid swap as (i, j, new_edge_1, new_edge_2).
+def _randbelow(getrandbits, n: int, k: int) -> int:
+    """rng.randrange(n) for k = n.bit_length(), drawing the same bits:
+    CPython's Random._randbelow_with_getrandbits without the call chain."""
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _sample_valid_swap(rng: random.Random, edges, parent):
+    """A uniform-ish random valid swap as (i, j, new_edge_1, new_edge_2,
+    (x, y, nest)).
 
     Draws i, j and a recombination r, and keeps r only when it is the
     valid one.
@@ -613,18 +646,20 @@ def _sample_valid_swap(rng: random.Random, edges, adjsets):
     ne = len(edges)
     if ne < 2:
         return None
+    bits, k = rng.getrandbits, ne.bit_length()
     for _ in range(_SAMPLE_TRIES):
-        i = rng.randrange(ne)
-        j = rng.randrange(ne)
+        i = _randbelow(bits, ne, k)
+        j = _randbelow(bits, ne, k)
         if i == j:
             continue
         a, b = edges[i]
         c, d = edges[j]
         if a == c or a == d or b == c or b == d:
             continue
-        r = rng.randrange(2)
-        if r == _valid_recombination(adjsets, a, b, c, d):
-            return (i, j, *_recombine(a, b, c, d, r))
+        r = _randbelow(bits, 2, 2)
+        valid = _valid_recombination(parent, a, b, c, d)
+        if r == valid[0]:
+            return (i, j, *_recombine(a, b, c, d, r), valid[1:])
     return None
 
 
@@ -633,7 +668,9 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
 
     Starts from the constructed tree; geometric cooling (0.999 per move);
     always accepts non-worsening moves, worsening moves with probability
-    exp(delta / temperature).  Fully reproducible from the seed.
+    exp(delta / temperature).  Fully reproducible from the seed: the draws
+    consume the same bits as rng.randrange.  The tree is kept as its edge
+    list and its parent array rooted at 0, fixed in place on each accept.
     """
     rng = random.Random(seed)
     start = construct_max_tree(d)
@@ -645,15 +682,15 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
     deg = start.degrees()
     W = weight_table(deg)
     edges = start.edges()
-    adjsets = [set(ns) for ns in start.adj]
+    parent = _bfs(start.adj, 0)[1]
 
     # instance-adaptive starting temperature
     deltas = []
     for _ in range(100):
-        sample = _sample_valid_swap(rng, edges, adjsets)
+        sample = _sample_valid_swap(rng, edges, parent)
         if sample is None:
             break
-        i, j, e1, e2 = sample
+        i, j, e1, e2, _ = sample
         deltas.append(abs(_delta(W, deg, edges[i], edges[j], e1, e2)))
     temp = (sum(deltas) / len(deltas)) if deltas else 0.0
     if temp <= 0.0:
@@ -664,21 +701,14 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
     best_edges = list(edges)
     moves = accepted = 0
     while moves < budget:
-        sample = _sample_valid_swap(rng, edges, adjsets)
+        sample = _sample_valid_swap(rng, edges, parent)
         if sample is None:
             break
         moves += 1
-        i, j, e1, e2 = sample
-        (a, b), (c, dd) = edges[i], edges[j]
+        i, j, e1, e2, split = sample
         delta = _delta(W, deg, edges[i], edges[j], e1, e2)
         if delta >= 0.0 or rng.random() < math.exp(delta / temp):
-            adjsets[a].discard(b)
-            adjsets[b].discard(a)
-            adjsets[c].discard(dd)
-            adjsets[dd].discard(c)
-            for p, q in (e1, e2):
-                adjsets[p].add(q)
-                adjsets[q].add(p)
+            _reroot(parent, *split)
             edges[i] = e1 if e1[0] < e1[1] else (e1[1], e1[0])
             edges[j] = e2 if e2[0] < e2[1] else (e2[1], e2[0])
             cur_so += delta

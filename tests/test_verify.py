@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from collections import Counter
 from math import factorial
 
@@ -22,6 +23,9 @@ from sombortree.construct import (
 )
 from sombortree.verify import (
     SwapMove,
+    _randbelow,
+    _reroot,
+    _valid_recombination,
     anneal_search,
     apply_swap,
     attachment_profile,
@@ -313,6 +317,64 @@ def test_one_valid_recombination_per_disjoint_pair(t):
             apply_swap(t, other)
 
 
+def _root_at_0(n, edges):
+    """Reference rooting: parent of every vertex in the tree rooted at 0,
+    -1 at the root, by a depth-first walk of the edge set."""
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    parent = [None] * n
+    parent[0] = -1
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for u in nbrs[v]:
+            if parent[u] is None:
+                parent[u] = v
+                stack.append(u)
+    return parent
+
+
+def _reference_recombination(n, edges, e, f):
+    """The one recombination of e, f that Tree.from_edges accepts."""
+    rest = [g for g in edges if g != e and g != f]
+    (a, b), (c, d) = e, f
+    valid = []
+    for r, new in ((0, [(a, c), (b, d)]), (1, [(a, d), (b, c)])):
+        try:
+            Tree.from_edges(n, rest + new)
+        except InvalidTreeError:
+            continue
+        valid.append(r)
+    assert len(valid) == 1
+    return valid[0]
+
+
+@given(random_trees(min_n=4, max_n=40), st.lists(st.integers(0, 10**6), max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_rooted_kernel_matches_reference_over_swap_runs(t, picks):
+    # a run of accepted swaps: after each, the in-place rooting must be the
+    # fresh one, and every disjoint pair must get the reference answer
+    n, edges = t.n, t.edges()
+    parent = _root_at_0(n, edges)
+    for pick in [None] + picks:
+        if pick is not None:
+            (a, b), (c, d) = e, f = pairs[pick % len(pairs)]
+            r, x, y, nest = _valid_recombination(parent, a, b, c, d)
+            _reroot(parent, x, y, nest)
+            edges = [g for g in edges if g != e and g != f]
+            edges += [tuple(sorted(g)) for g in SwapMove(e, f, r).new_edges()]
+            assert parent == _root_at_0(n, edges)
+        pairs = [(e, f) for i, e in enumerate(edges) for f in edges[i + 1 :]
+                 if not set(e) & set(f)]
+        if not pairs:
+            break
+        for e, f in pairs:
+            kernel = _valid_recombination(parent, *e, *f)[0]
+            assert kernel == _reference_recombination(n, edges, e, f)
+
+
 def test_paper_tree_has_neutral_nonisomorphic_swap():
     t = construct_max_tree(validate([5, 5, 5, 4, 3, 3, 2, 2]))
     code = canonical_form(t)
@@ -461,6 +523,19 @@ def test_anneal_never_below_start():
     for seed in (1, 2, 3):
         result = anneal_search(validate([3, 3, 2, 2]), budget=3000, seed=seed)
         assert result.best_so >= result.start_so - 1e-12
+
+
+def test_randbelow_matches_randrange_stream():
+    # the annealer draws its indices with _randbelow; it must consume the
+    # same bits as randrange on this interpreter, or the seeded streams move
+    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+    for n in range(1, 301):
+        ours, ref = random.Random(n), random.Random(n)
+        for _ in range(10):
+            assert _randbelow(ours.getrandbits, n, n.bit_length()) == ref.randrange(n)
+            assert ours.getrandbits(2) == ref.getrandbits(2)
+            assert _randbelow(ours.getrandbits, 2, 2) == ref.randrange(2)
+            assert ours.random() == ref.random()
 
 
 # Seeded runs pinned bit for bit: a change to the annealer's swap sampling
