@@ -7,16 +7,19 @@ below the labeled tree count walks a prefix of the labeled trees of the
 Prüfer bijection instead.  Also degree-preserving 2-swap local search
 (one swap-validity test on a parent array rooted at vertex 0),
 path-inequality and attachment-site checkers, and a seeded simulated
-annealer for instances beyond exhaustive reach.
+annealer for instances beyond exhaustive reach.  The path-inequality
+check counts every inequality and builds a record only for a violation.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 
 from sombortree.graph import (
@@ -499,22 +502,69 @@ class PathInequalityRecord:
         }
 
 
+def _path_pairs(k: int) -> tuple[tuple[int, int, int], ...]:
+    """The (i, li, ri) inequalities on a path with k interior vertices.
+
+    In report order: (i, mirror), then (mirror, j) for i+1 <= j <= mirror,
+    for 1 <= i <= min(k, (k+2)//2), where mirror = k-i+1.  For k = 2 and
+    i = 2 the mirror lies before i, which leaves the single pair (2, 1).
+    Callers cache it per tree: a table has O(k^2) entries, so a
+    process-wide cache would keep the largest ones alive.
+    """
+    pairs = []
+    for i in range(1, min(k, (k + 2) // 2) + 1):
+        mirror = k - i + 1
+        pairs.append((i, i, mirror))
+        pairs.extend((i, mirror, j) for j in range(i + 1, mirror + 1))
+    return tuple(pairs)
+
+
+#: The one inequality test, indexed by i % 2: ``_HOLDS[i % 2](lhs, rhs)``
+#: is d(v_li) >= d(v_ri) for odd i and d(v_li) <= d(v_ri) for even i.
+_HOLDS = (operator.le, operator.ge)
+
+
+def _record(path, i: int, li: int, ri: int) -> PathInequalityRecord:
+    lhs, rhs = path.degrees[li], path.degrees[ri]
+    odd = i % 2
+    return PathInequalityRecord(
+        path=path.vertices,
+        i=i,
+        parity="odd" if odd else "even",
+        inequality=f"d(v{li}) {'>=' if odd else '<='} d(v{ri})",
+        lhs_degree=lhs,
+        rhs_degree=rhs,
+        holds=_HOLDS[odd](lhs, rhs),
+    )
+
+
 @dataclass(frozen=True)
 class Theorem1Report:
-    records: tuple[PathInequalityRecord, ...]
+    tree: Tree = field(repr=False, compare=False)
     paths: int
     checked: int
     violations: int
+    violating: tuple[PathInequalityRecord, ...]
+
+    @functools.cached_property
+    def records(self) -> tuple[PathInequalityRecord, ...]:
+        """Every inequality, holding or not; built from the tree on first read."""
+        pairs_for = functools.cache(_path_pairs)
+        return tuple(
+            _record(path, *pair)
+            for path in leaf_to_leaf_paths(self.tree)
+            for pair in pairs_for(len(path.vertices) - 2)
+        )
 
     def violating_records(self) -> list[PathInequalityRecord]:
-        return [r for r in self.records if not r.holds]
+        return list(self.violating)
 
     def to_dict(self) -> dict:
         return {
             "paths": self.paths,
             "checked": self.checked,
             "violations": self.violations,
-            "records": [r.to_dict() for r in self.violating_records()],
+            "records": [r.to_dict() for r in self.violating],
         }
 
     def to_json(self) -> str:
@@ -527,37 +577,30 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     For interior positions v1..vk and i <= ceil((k+1)/2): odd i demands
     d(v_i) >= d(v_{k-i+1}) >= d(v_j), even i the reverse, for
     i+1 <= j <= k-i+1.  Violations are reported, never raised.
+
+    One pass counts every inequality with int comparisons and builds a
+    record only for each violation; the report's ``records`` (all of
+    them, in the same order) is built from the tree on first read.
     """
-    records = []
+    pairs_for = functools.cache(_path_pairs)
     paths = leaf_to_leaf_paths(t)
+    checked = 0
+    violating = []
     for path in paths:
         degs = path.degrees
-        k = len(path.vertices) - 2
-        for i in range(1, min(k, (k + 2) // 2) + 1):
-            mirror = k - i + 1
-            pairs = [(i, mirror)] + [(mirror, j) for j in range(i + 1, mirror + 1)]
-            for li, ri in pairs:
-                lhs, rhs = degs[li], degs[ri]
-                if i % 2 == 1:
-                    op, holds = ">=", lhs >= rhs
-                else:
-                    op, holds = "<=", lhs <= rhs
-                records.append(
-                    PathInequalityRecord(
-                        path=path.vertices,
-                        i=i,
-                        parity="odd" if i % 2 == 1 else "even",
-                        inequality=f"d(v{li}) {op} d(v{ri})",
-                        lhs_degree=lhs,
-                        rhs_degree=rhs,
-                        holds=holds,
-                    )
-                )
+        pairs = pairs_for(len(degs) - 2)
+        checked += len(pairs)
+        violating.extend(
+            _record(path, i, li, ri)
+            for i, li, ri in pairs
+            if not _HOLDS[i % 2](degs[li], degs[ri])
+        )
     return Theorem1Report(
-        records=tuple(records),
+        tree=t,
         paths=len(paths),
-        checked=len(records),
-        violations=sum(1 for r in records if not r.holds),
+        checked=checked,
+        violations=len(violating),
+        violating=tuple(violating),
     )
 
 

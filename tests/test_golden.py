@@ -1,4 +1,4 @@
-"""Byte-identity gate: construct and sweep output pinned by SHA-256.
+"""Byte-identity gate: construct, check and sweep output pinned by SHA-256.
 
 The digests were recorded from the program before its tree kernel (BFS,
 edge-weight table, centers) was consolidated in graph.py, and the m = 2000
@@ -82,3 +82,26 @@ def test_sweep_csv_n10(tmp_path):
     out = tmp_path / "sweep.csv"
     sweep(10, out_csv=out)
     assert sha(out.read_bytes()) == "7eec03ab6cbb8dcd3f21ecf9b53172332ac1918772be5adafa2c4bbe3bc8d062"
+
+
+# `sombor check` stdout (Theorem-1 counts and violating records, 2-swap
+# report) recorded before the path check counted inequalities without
+# building a record for each one.
+def check_stdout(degrees, capsys) -> str:
+    assert run(["check", "--degrees", ",".join(map(str, degrees))]) == 0
+    return capsys.readouterr().out
+
+
+def test_check_cli_output_every_sequence_to_n14(capsys):
+    seqs = generate_degree_sequences(14)
+    assert len(seqs) == 271
+    text = "".join(check_stdout(d.degrees, capsys) for d in seqs)
+    assert sha(text) == "538d6fcf8e8ac2036c1d5064fcea93901243ae447d663fbb1a41ca833207555c"
+
+
+def test_check_cli_output_m150(capsys):
+    # no timer: 45,150 paths and 1,409,010 inequalities, 22,216 violated
+    rng = random.Random(7)
+    degrees = [rng.randint(3, 5) for _ in range(150)]
+    out = check_stdout(degrees, capsys)
+    assert sha(out) == "0cf48995a9406a14362bc8fa13962e33ee507499f9c94adb2380a9430e554dbe"

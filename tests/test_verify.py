@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -13,6 +14,7 @@ from sombortree.graph import (
     InvalidTreeError,
     Tree,
     canonical_form,
+    leaf_to_leaf_paths,
     sombor_index,
     validate,
 )
@@ -21,7 +23,10 @@ from sombortree.construct import (
     construct_max_tree,
     materialize,
 )
+from sombortree import verify
+from sombortree.sweep import generate_degree_sequences
 from sombortree.verify import (
+    PathInequalityRecord,
     SwapMove,
     _randbelow,
     _reroot,
@@ -446,6 +451,86 @@ def test_theorem1_paper_tree_flags_even_violation():
     data = json.loads(report.to_json())
     assert data["violations"] == report.violations
     assert len(data["records"]) == report.violations
+
+
+def reference_theorem1(t):
+    """The record-by-record checker: one record for every inequality."""
+    records = []
+    paths = leaf_to_leaf_paths(t)
+    for path in paths:
+        degs = path.degrees
+        k = len(path.vertices) - 2
+        for i in range(1, min(k, (k + 2) // 2) + 1):
+            mirror = k - i + 1
+            pairs = [(i, mirror)] + [(mirror, j) for j in range(i + 1, mirror + 1)]
+            for li, ri in pairs:
+                lhs, rhs = degs[li], degs[ri]
+                if i % 2 == 1:
+                    op, holds = ">=", lhs >= rhs
+                else:
+                    op, holds = "<=", lhs <= rhs
+                records.append(
+                    PathInequalityRecord(
+                        path=path.vertices,
+                        i=i,
+                        parity="odd" if i % 2 == 1 else "even",
+                        inequality=f"d(v{li}) {op} d(v{ri})",
+                        lhs_degree=lhs,
+                        rhs_degree=rhs,
+                        holds=holds,
+                    )
+                )
+    return records, len(paths)
+
+
+def assert_theorem1_matches_reference(t):
+    records, paths = reference_theorem1(t)
+    violating = [r for r in records if not r.holds]
+    report = check_theorem1(t)
+    assert report.paths == paths
+    assert report.checked == len(records)
+    assert report.violations == len(violating)
+    assert report.violating_records() == violating
+    assert report.to_json() == json.dumps(
+        {
+            "paths": paths,
+            "checked": len(records),
+            "violations": len(violating),
+            "records": [r.to_dict() for r in violating],
+        }
+    )
+    assert report.records == tuple(records)
+
+
+@given(random_trees(max_n=40))
+@settings(max_examples=300, deadline=None)
+def test_streamed_theorem1_matches_reference_on_random_trees(t):
+    assert_theorem1_matches_reference(t)
+
+
+def test_streamed_theorem1_matches_reference_on_constructed_trees():
+    seqs = generate_degree_sequences(14)
+    assert len(seqs) == 271
+    for d in seqs:
+        assert_theorem1_matches_reference(construct_max_tree(d))
+
+
+def test_theorem1_builds_records_only_for_violations(monkeypatch):
+    built = []
+
+    class CountedRecord(PathInequalityRecord):
+        def __init__(self, **fields):
+            super().__init__(**fields)
+            built.append(self)
+
+    monkeypatch.setattr(verify, "PathInequalityRecord", CountedRecord)
+    report = check_theorem1(construct_max_tree(validate([5, 5, 5, 4, 3, 3, 2, 2])))
+    assert 0 < report.violations < report.checked
+    assert len(built) == report.violations
+    assert len(report.records) == report.checked
+    assert len(built) == report.violations + report.checked
+    report.records  # cached: a second read builds nothing
+    assert len(built) == report.violations + report.checked
 
 
 # -- attachment profile ------------------------------------------------------
