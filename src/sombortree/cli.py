@@ -8,6 +8,7 @@ constructor).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -71,7 +72,10 @@ def _parse_degrees(text: str):
         raise _UsageError(str(exc)) from exc
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process: argparse keeps no state between
+    parse_args calls, so run() reuses it instead of building it per call."""
     parser = _Parser(prog="sombor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -670,40 +670,11 @@ class AnnealResult:
     accepted: int
 
 
-def _randbelow(getrandbits, n: int, k: int) -> int:
-    """rng.randrange(n) for k = n.bit_length(), drawing the same bits:
-    CPython's Random._randbelow_with_getrandbits without the call chain."""
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
-def _sample_valid_swap(rng: random.Random, edges, parent):
-    """A uniform-ish random valid swap as (i, j, new_edge_1, new_edge_2,
-    (x, y, nest)).
-
-    Draws i, j and a recombination r, and keeps r only when it is the
-    valid one.
-    """
-    ne = len(edges)
-    if ne < 2:
-        return None
-    bits, k = rng.getrandbits, ne.bit_length()
-    for _ in range(_SAMPLE_TRIES):
-        i = _randbelow(bits, ne, k)
-        j = _randbelow(bits, ne, k)
-        if i == j:
-            continue
-        a, b = edges[i]
-        c, d = edges[j]
-        if a == c or a == d or b == c or b == d:
-            continue
-        r = _randbelow(bits, 2, 2)
-        valid = _valid_recombination(parent, a, b, c, d)
-        if r == valid[0]:
-            return (i, j, *_recombine(a, b, c, d, r), valid[1:])
-    return None
+def _start_temp(deltas) -> float:
+    """The annealer's starting temperature: the mean |delta| of its warm-up
+    swaps, or 1e-9 when there are none or all are 0."""
+    temp = sum(deltas) / len(deltas) if deltas else 0.0
+    return temp if temp > 0.0 else 1e-9
 
 
 def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
@@ -711,49 +682,93 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
 
     Starts from the constructed tree; geometric cooling (0.999 per move);
     always accepts non-worsening moves, worsening moves with probability
-    exp(delta / temperature).  Fully reproducible from the seed: the draws
-    consume the same bits as rng.randrange.  The tree is kept as its edge
-    list and its parent array rooted at 0, fixed in place on each accept.
+    exp(delta / temperature).  The starting temperature is the mean |delta|
+    of the first 100 valid swaps drawn.  The tree is kept as its edge list
+    and its parent array rooted at 0, fixed in place on each accept.
+
+    One loop draws every swap, for the temperature and for the moves: edge
+    indices i, j and a recombination r, each by getrandbits plus rejection,
+    the same bits rng.randrange draws, so the run is reproducible from the
+    seed.  A draw is kept when i, j are disjoint edges and r is their one
+    valid recombination (the test of _valid_recombination); _SAMPLE_TRIES
+    draws in a row without a kept one end the warm-up, or the search.
     """
     rng = random.Random(seed)
     start = construct_max_tree(d)
     start_so = sombor_index(start)
-    if budget <= 0:
+    if budget <= 0 or start.n == 2:  # a lone edge has no swap
         return AnnealResult(start, start_so, start_so, 0, 0)
 
     n = start.n
     deg = start.degrees()
     W = weight_table(deg)
+    vals = set(deg)
+    row = {x: {y: W[x, y] for y in vals} for x in vals}
+    wrow = [row[x] for x in deg]  # wrow[u][deg[v]] is W[deg[u], deg[v]]
     edges = start.edges()
     parent = _bfs(start.adj, 0)[1]
+    ne = len(edges)
+    bits, k = rng.getrandbits, ne.bit_length()
+    rand, exp = rng.random, math.exp
 
-    # instance-adaptive starting temperature
-    deltas = []
-    for _ in range(100):
-        sample = _sample_valid_swap(rng, edges, parent)
-        if sample is None:
-            break
-        i, j, e1, e2, _ = sample
-        deltas.append(abs(_delta(W, deg, edges[i], edges[j], e1, e2)))
-    temp = (sum(deltas) / len(deltas)) if deltas else 0.0
-    if temp <= 0.0:
-        temp = 1e-9
-
-    cur_so = start_so
-    best_so = start_so
+    deltas = []  # |delta| of the warm-up swaps, None once temp is set
+    cur_so = best_so = start_so
     best_edges = list(edges)
-    moves = accepted = 0
+    moves = accepted = tries = 0
     while moves < budget:
-        sample = _sample_valid_swap(rng, edges, parent)
-        if sample is None:
-            break
+        if tries == _SAMPLE_TRIES:  # no valid swap in a row of draws
+            if deltas is None:
+                break
+            temp, deltas, tries = _start_temp(deltas), None, 0
+        tries += 1
+        i = bits(k)
+        while i >= ne:
+            i = bits(k)
+        j = bits(k)
+        while j >= ne:
+            j = bits(k)
+        if i == j:
+            continue
+        a, b = edges[i]
+        c, d = edges[j]
+        if a == c or a == d or b == c or b == d:
+            continue
+        r = bits(2)
+        while r >= 2:
+            r = bits(2)
+        # x, y: the child ends; nest 1 when y lies below x, 2 when x below y
+        x = a if parent[a] == b else b
+        y = c if parent[c] == d else d
+        v = parent[y]
+        while v != x and v != -1:
+            v = parent[v]
+        if v == x:
+            nest = 1
+        else:
+            v = parent[x]
+            while v != y and v != -1:
+                v = parent[v]
+            nest = 2 if v == y else 0
+        near_ab = x if nest == 1 else parent[x]
+        near_cd = y if nest == 2 else parent[y]
+        if r != ((near_cd == c) == (near_ab == a)):
+            continue
+        tries = 0
+        p, q = (c, d) if r == 0 else (d, c)  # new edges (a, p), (b, q)
+        delta = (
+            wrow[a][deg[p]] + wrow[b][deg[q]]
+            - wrow[a][deg[b]] - wrow[c][deg[d]]
+        )
+        if deltas is not None:
+            deltas.append(abs(delta))
+            if len(deltas) == 100:
+                temp, deltas = _start_temp(deltas), None
+            continue
         moves += 1
-        i, j, e1, e2, split = sample
-        delta = _delta(W, deg, edges[i], edges[j], e1, e2)
-        if delta >= 0.0 or rng.random() < math.exp(delta / temp):
-            _reroot(parent, *split)
-            edges[i] = e1 if e1[0] < e1[1] else (e1[1], e1[0])
-            edges[j] = e2 if e2[0] < e2[1] else (e2[1], e2[0])
+        if delta >= 0.0 or rand() < exp(delta / temp):
+            _reroot(parent, x, y, nest)
+            edges[i] = (a, p) if a < p else (p, a)
+            edges[j] = (b, q) if b < q else (q, b)
             cur_so += delta
             accepted += 1
             if cur_so > best_so:

@@ -4,6 +4,7 @@ import math
 import pytest
 
 import sombortree.sweep
+from sombortree import cli
 from sombortree.cli import run
 from sombortree.construct import construct_max_tree
 from sombortree.graph import Tree, canonical_form, sombor_index, validate
@@ -230,15 +231,52 @@ def test_search_confirms_constructor(capsys):
     assert payload["best_so"] >= payload["constructed_so"] - 1e-12
 
 
+# pinned bit for bit: the seeded annealer's output must not move (CI runs
+# the same line through the installed console script)
+SEARCH_ARGV = ["search", "--degrees", "5,5,5,4,3,3,2,2", "--budget", "3000", "--seed", "11"]
+SEARCH_OUT = (
+    '{"degrees": [5, 5, 5, 4, 3, 3, 2, 2], "constructed_so": 106.61257578712797, '
+    '"best_so": 106.61257578712797, "improved": false, "moves": 3000, '
+    '"accepted": 1775, "seed": 11, "budget": 3000}\n'
+)
+
+
 def test_search_matches_recorded_output(capsys):
-    # pinned bit for bit: the seeded annealer's output must not move
-    argv = ["search", "--degrees", "5,5,5,4,3,3,2,2", "--budget", "3000", "--seed", "11"]
-    assert run(argv) == 0
-    assert capsys.readouterr().out == (
-        '{"degrees": [5, 5, 5, 4, 3, 3, 2, 2], "constructed_so": 106.61257578712797, '
-        '"best_so": 106.61257578712797, "improved": false, "moves": 3000, '
-        '"accepted": 1775, "seed": 11, "budget": 3000}\n'
-    )
+    assert run(SEARCH_ARGV) == 0
+    assert capsys.readouterr().out == SEARCH_OUT
+
+
+def test_reused_parser_keeps_no_state(capsys, monkeypatch):
+    # run() parses with one parser per process; each call must see what a
+    # freshly built parser sees, whatever the calls before it passed
+    monkeypatch.delenv("SOMBOR_CAP", raising=False)
+    steps = [
+        (["construct", "--degrees", "3,2,2", "--bogus"], 1),
+        (["construct", "--degrees", "3,2,2", "--format", "dot"], 0),
+        (["construct", "--degrees", "3,2,2"], 0),  # json again
+        (["verify", "--degrees", "3,2,2", "--cap", "5"], 2),
+        (["verify", "--degrees", "3,2,2"], 0),  # uncapped again
+        (SEARCH_ARGV, 0),
+    ]
+
+    def outcome(argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    reused = [outcome(argv) for argv, _ in steps]
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    for (argv, code), got in zip(steps, reused):
+        assert got == outcome(argv)
+        assert got[0] == code
+    usage, dot, default, capped, uncapped, search = reused
+    assert usage[2].splitlines()[-1].startswith("usage: sombor")
+    assert dot[1].startswith("graph tree {")
+    assert json.loads(default[1])["n"] == 6
+    assert json.loads(capped[1])["capped"] is True
+    assert json.loads(uncapped[1])["capped"] is False
+    assert search[1] == SEARCH_OUT
 
 
 def test_bad_degrees_exit_1(capsys):

@@ -6,17 +6,19 @@ from collections import Counter
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sombortree.graph import (
     REL_TOL,
     InvalidTreeError,
     Tree,
+    _bfs,
     canonical_form,
     leaf_to_leaf_paths,
     sombor_index,
     validate,
+    weight_table,
 )
 from sombortree.construct import (
     SubtreeSpec,
@@ -28,7 +30,7 @@ from sombortree.sweep import generate_degree_sequences
 from sombortree.verify import (
     PathInequalityRecord,
     SwapMove,
-    _randbelow,
+    _delta,
     _reroot,
     _valid_recombination,
     anneal_search,
@@ -610,6 +612,16 @@ def test_anneal_never_below_start():
         assert result.best_so >= result.start_so - 1e-12
 
 
+def _randbelow(getrandbits, n: int, k: int) -> int:
+    """rng.randrange(n) for k = n.bit_length(), drawing the same bits:
+    CPython's Random._randbelow_with_getrandbits without the call chain,
+    the way anneal_search draws its edge indices and recombination."""
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def test_randbelow_matches_randrange_stream():
     # the annealer draws its indices with _randbelow; it must consume the
     # same bits as randrange on this interpreter, or the seeded streams move
@@ -621,6 +633,105 @@ def test_randbelow_matches_randrange_stream():
             assert ours.getrandbits(2) == ref.getrandbits(2)
             assert _randbelow(ours.getrandbits, 2, 2) == ref.randrange(2)
             assert ours.random() == ref.random()
+
+
+def _reference_anneal(d, budget: int, seed: int):
+    """anneal_search as a sampler called per swap and two loops, drawing
+    with rng.randrange: the shape its one loop replaced.  Returns (moves,
+    accepted, best_so, start_so, best tree)."""
+    rng = random.Random(seed)
+    start = construct_max_tree(d)
+    start_so = sombor_index(start)
+    if budget <= 0:
+        return 0, 0, start_so, start_so, start
+    deg = start.degrees()
+    W = weight_table(deg)
+    edges = start.edges()
+    parent = _bfs(start.adj, 0)[1]
+
+    def sample():
+        ne = len(edges)
+        if ne < 2:
+            return None
+        for _ in range(300):
+            i = rng.randrange(ne)
+            j = rng.randrange(ne)
+            if i == j:
+                continue
+            a, b = edges[i]
+            c, d = edges[j]
+            if a == c or a == d or b == c or b == d:
+                continue
+            r = rng.randrange(2)
+            valid = _valid_recombination(parent, a, b, c, d)
+            if r == valid[0]:
+                move = SwapMove(edges[i], edges[j], r)
+                return (i, j, *move.new_edges(), valid[1:])
+        return None
+
+    deltas = []
+    for _ in range(100):
+        drawn = sample()
+        if drawn is None:
+            break
+        i, j, e1, e2, _ = drawn
+        deltas.append(abs(_delta(W, deg, edges[i], edges[j], e1, e2)))
+    temp = (sum(deltas) / len(deltas)) if deltas else 0.0
+    if temp <= 0.0:
+        temp = 1e-9
+    cur_so = best_so = start_so
+    best_edges = list(edges)
+    moves = accepted = 0
+    while moves < budget:
+        drawn = sample()
+        if drawn is None:
+            break
+        moves += 1
+        i, j, e1, e2, split = drawn
+        delta = _delta(W, deg, edges[i], edges[j], e1, e2)
+        if delta >= 0.0 or rng.random() < math.exp(delta / temp):
+            _reroot(parent, *split)
+            edges[i] = tuple(sorted(e1))
+            edges[j] = tuple(sorted(e2))
+            cur_so += delta
+            accepted += 1
+            if cur_so > best_so:
+                best_so = cur_so
+                best_edges = list(edges)
+        temp *= 0.999
+    best = Tree.from_edges(start.n, best_edges)
+    return moves, accepted, sombor_index(best), start_so, best
+
+
+@st.composite
+def degree_lists(draw, max_n=40):
+    """Feasible degree sequences with n = 2 + sum(d - 1) <= max_n."""
+    degrees, n = [], 2
+    for x in draw(st.lists(st.integers(2, 12), max_size=20)):
+        if n + x - 1 > max_n:
+            break
+        degrees.append(x)
+        n += x - 1
+    return validate(degrees)
+
+
+def _sha(tree: Tree) -> str:
+    return hashlib.sha256(tree.to_json().encode()).hexdigest()
+
+
+@given(degree_lists(), st.integers(0, 300), st.integers(0, 2**32))
+@example(validate([7]), 300, 5)  # the star: no swap exists
+@example(validate([]), 300, 5)  # the lone edge
+@settings(max_examples=150, deadline=None)
+def test_one_loop_anneal_matches_reference_loop(d, budget, seed):
+    result = anneal_search(d, budget=budget, seed=seed)
+    moves, accepted, best_so, start_so, best = _reference_anneal(d, budget, seed)
+    assert (result.moves, result.accepted) == (moves, accepted)
+    assert result.best_so.hex() == best_so.hex()
+    assert result.start_so.hex() == start_so.hex()
+    assert _sha(result.best_tree) == _sha(best)
+    if d.m <= 1:
+        assert result.moves == 0
 
 
 # Seeded runs pinned bit for bit: a change to the annealer's swap sampling
