@@ -5,10 +5,12 @@ deleting the leaves, one per isomorphism class) with every placement of
 the degrees on them, deduplicated by canonical form; only an explicit cap
 below the labeled tree count walks a prefix of the labeled trees of the
 Prüfer bijection instead.  Also degree-preserving 2-swap local search
-(one swap-validity test on a parent array rooted at vertex 0),
-path-inequality and attachment-site checkers, and a seeded simulated
-annealer for instances beyond exhaustive reach.  The path-inequality
-check counts every inequality and builds a record only for a violation.
+(one swap-validity test on a parent array rooted at vertex 0, reached
+only by pairs whose deltas could beat the best), path-inequality and
+attachment-site checkers, and a seeded simulated annealer for instances
+beyond exhaustive reach.  The path-inequality check tests each pair of
+leaf supports once, counts every inequality and builds a record only for
+a violation.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import functools
 import heapq
 import json
 import math
-import operator
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -71,26 +73,6 @@ def prufer_to_tree(seq, n: int) -> Tree:
     v = heapq.heappop(heap)
     edges.append((u, v))
     return Tree.from_edges(n, edges)
-
-
-def tree_to_prufer(t: Tree) -> tuple[int, ...]:
-    """Encode by repeatedly stripping the smallest-id leaf."""
-    if t.n < 2:
-        raise ValueError("need n >= 2")
-    deg = list(t.degrees())
-    adj = [set(ns) for ns in t.adj]
-    heap = [v for v in range(t.n) if deg[v] == 1]
-    heapq.heapify(heap)
-    out = []
-    for _ in range(t.n - 2):
-        leaf = heapq.heappop(heap)
-        nb = next(iter(adj[leaf]))
-        out.append(nb)
-        adj[nb].discard(leaf)
-        deg[nb] -= 1
-        if deg[nb] == 1:
-            heapq.heappush(heap, nb)
-    return tuple(out)
 
 
 def prufer_space_size(d: DegreeSequence) -> int:
@@ -431,6 +413,15 @@ def _delta(W, deg, old1, old2, new1, new2) -> float:
     )
 
 
+def _weight_rows(deg) -> list[dict[int, float]]:
+    """weight_table as one row per vertex: rows[u][deg[v]] is
+    W[deg[u], deg[v]], the same floats, read without a tuple key."""
+    rows = {x: {} for x in deg}
+    for (x, y), w in weight_table(deg).items():
+        rows[x][y] = w
+    return [rows[x] for x in deg]
+
+
 def swap_delta(t: Tree, move: SwapMove) -> float:
     """Sombor change of a swap."""
     deg = t.degrees()
@@ -460,17 +451,41 @@ class LocalMaxReport:
 
 
 def is_local_max(t: Tree) -> LocalMaxReport:
-    """True iff no 2-swap gives a Sombor value that exceeds t's."""
+    """True iff no 2-swap gives a Sombor value that exceeds t's.
+
+    One loop over the edge pairs i < j of t.edges(), in order, reading
+    edge weights from per-vertex rows of weight_table.  For each disjoint
+    pair (a,b), (c,d) it computes the deltas of both recombinations, d0
+    for (a,c),(b,d) and d1 for (a,d),(b,c), in _delta's operand order.
+    When both are at most the best delta so far, neither can become the
+    best whichever one is valid, so the pair is skipped; only the others
+    go to the validity test (_valid_recombination), and a SwapMove is
+    built only for a strictly better delta.  The reported move is thus
+    the first best one in two_swap_neighbors order, as a scan of every
+    move with swap_delta would find.
+    """
     base = sombor_index(t)
     deg = t.degrees()
-    W = weight_table(deg)
+    wrow = _weight_rows(deg)
+    parent = _bfs(t.adj, 0)[1]
+    # per edge: its ends, their degrees and its weight
+    ends = [(c, d, deg[c], deg[d], wrow[c][deg[d]]) for c, d in t.edges()]
     best_move = None
     best_delta = 0.0
-    for move in two_swap_neighbors(t):
-        delta = _delta(W, deg, move.edge_a, move.edge_b, *move.new_edges())
-        if delta > best_delta:
-            best_delta = delta
-            best_move = move
+    for i, (a, b, _, _, wab) in enumerate(ends):
+        wa, wb = wrow[a], wrow[b]
+        for c, d, dc, dd, wcd in ends[i + 1 :]:
+            if a == c or a == d or b == c or b == d:
+                continue
+            d0 = wa[dc] + wb[dd] - wab - wcd
+            d1 = wa[dd] + wb[dc] - wab - wcd
+            if d0 <= best_delta and d1 <= best_delta:
+                continue
+            r = _valid_recombination(parent, a, b, c, d)[0]
+            delta = d1 if r else d0
+            if delta > best_delta:
+                best_delta = delta
+                best_move = SwapMove((a, b), (c, d), r)
     if exceeds(base + best_delta, base):
         return LocalMaxReport(False, base, best_move, best_delta)
     return LocalMaxReport(True, base, None, best_delta)
@@ -502,40 +517,36 @@ class PathInequalityRecord:
         }
 
 
-def _path_pairs(k: int) -> tuple[tuple[int, int, int], ...]:
-    """The (i, li, ri) inequalities on a path with k interior vertices.
+def _path_pairs(k: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The (i, li, ri, hi, lo) inequalities on a path with k interior vertices.
 
     In report order: (i, mirror), then (mirror, j) for i+1 <= j <= mirror,
     for 1 <= i <= min(k, (k+2)//2), where mirror = k-i+1.  For k = 2 and
     i = 2 the mirror lies before i, which leaves the single pair (2, 1).
-    Callers cache it per tree: a table has O(k^2) entries, so a
+    Odd i demands d(v_li) >= d(v_ri), even i d(v_li) <= d(v_ri); (hi, lo)
+    orders (li, ri) so that each inequality reads d(v_hi) >= d(v_lo), the
+    one test.  Callers cache it per tree: a table has O(k^2) entries, so a
     process-wide cache would keep the largest ones alive.
     """
     pairs = []
     for i in range(1, min(k, (k + 2) // 2) + 1):
         mirror = k - i + 1
-        pairs.append((i, i, mirror))
-        pairs.extend((i, mirror, j) for j in range(i + 1, mirror + 1))
+        for li, ri in [(i, mirror)] + [(mirror, j) for j in range(i + 1, mirror + 1)]:
+            pairs.append((i, li, ri, li, ri) if i % 2 else (i, li, ri, ri, li))
     return tuple(pairs)
 
 
-#: The one inequality test, indexed by i % 2: ``_HOLDS[i % 2](lhs, rhs)``
-#: is d(v_li) >= d(v_ri) for odd i and d(v_li) <= d(v_ri) for even i.
-_HOLDS = (operator.le, operator.ge)
-
-
-def _record(path, i: int, li: int, ri: int) -> PathInequalityRecord:
-    lhs, rhs = path.degrees[li], path.degrees[ri]
-    odd = i % 2
-    return PathInequalityRecord(
-        path=path.vertices,
-        i=i,
-        parity="odd" if odd else "even",
-        inequality=f"d(v{li}) {'>=' if odd else '<='} d(v{ri})",
-        lhs_degree=lhs,
-        rhs_degree=rhs,
-        holds=_HOLDS[odd](lhs, rhs),
-    )
+def _record_fields(degrees, i: int, li: int, ri: int, hi: int, lo: int) -> dict:
+    """The fields of the record of one _path_pairs entry but its path, on a
+    path whose vertex degrees are degrees (leaf first)."""
+    return {
+        "i": i,
+        "parity": "odd" if i % 2 else "even",
+        "inequality": f"d(v{li}) {'>=' if i % 2 else '<='} d(v{ri})",
+        "lhs_degree": degrees[li],
+        "rhs_degree": degrees[ri],
+        "holds": degrees[hi] >= degrees[lo],
+    }
 
 
 @dataclass(frozen=True)
@@ -551,7 +562,9 @@ class Theorem1Report:
         """Every inequality, holding or not; built from the tree on first read."""
         pairs_for = functools.cache(_path_pairs)
         return tuple(
-            _record(path, *pair)
+            PathInequalityRecord(
+                path=path.vertices, **_record_fields(path.degrees, *pair)
+            )
             for path in leaf_to_leaf_paths(self.tree)
             for pair in pairs_for(len(path.vertices) - 2)
         )
@@ -578,26 +591,58 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     d(v_i) >= d(v_{k-i+1}) >= d(v_j), even i the reverse, for
     i+1 <= j <= k-i+1.  Violations are reported, never raised.
 
-    One pass counts every inequality with int comparisons and builds a
-    record only for each violation; the report's ``records`` (all of
+    Only interior degrees enter the inequalities, and for n > 2 the
+    interior of the path from leaf a to leaf b is the path from a's
+    support (its one neighbour) to b's.  So the inequalities are tested,
+    with int comparisons, once per ordered pair of support vertices, by
+    one BFS from each support; both orientations are tested, since the
+    lower-id leaf starts its path.  ``checked`` adds each table's length
+    once per leaf pair of the support pair, and a record is built only for
+    a leaf pair whose support pair has a violation, in the order of leaf
+    pairs by id and then of the table.  The report's ``records`` (all of
     them, in the same order) is built from the tree on first read.
     """
+    leaves = t.leaves()
+    paths = len(leaves) * (len(leaves) - 1) // 2
+    if t.n <= 2:  # the lone edge's one path has no interior
+        return Theorem1Report(t, paths, 0, 0, ())
+    deg = t.degrees()
+    support = [t.adj[a][0] for a in leaves]
+    count = list(Counter(support).items())  # (support, its leaf count)
     pairs_for = functools.cache(_path_pairs)
-    paths = leaf_to_leaf_paths(t)
     checked = 0
+    bad = {}  # s -> {u: (support path s..u, fields of its violations)}
+    for x, (s, cs) in enumerate(count):
+        parent = _bfs(t.adj, s)[1]
+        for u, cu in count[x:]:
+            inner = [u]
+            while inner[-1] != s:
+                inner.append(parent[inner[-1]])
+            table = pairs_for(len(inner))
+            checked += (cs * (cs - 1) // 2 if s == u else cs * cu) * len(table)
+            # both orientations: from u to s, then from s to u
+            for a, b, path in ((u, s, inner), (s, u, inner[::-1])):
+                degs = [1] + [deg[v] for v in path]
+                fields = [
+                    _record_fields(degs, i, li, ri, hi, lo)
+                    for i, li, ri, hi, lo in table
+                    if degs[hi] < degs[lo]
+                ]
+                if fields:
+                    bad.setdefault(a, {})[b] = (tuple(path), fields)
+    record = PathInequalityRecord  # looked up per call, not per import
     violating = []
-    for path in paths:
-        degs = path.degrees
-        pairs = pairs_for(len(degs) - 2)
-        checked += len(pairs)
-        violating.extend(
-            _record(path, i, li, ri)
-            for i, li, ri in pairs
-            if not _HOLDS[i % 2](degs[li], degs[ri])
-        )
+    for x, a in enumerate(leaves):
+        row = bad.get(support[x])
+        if row is None:
+            continue
+        for b, u in zip(leaves[x + 1 :], support[x + 1 :]):
+            if (hit := row.get(u)) is not None:
+                path = (a, *hit[0], b)
+                violating += [record(path=path, **f) for f in hit[1]]
     return Theorem1Report(
         tree=t,
-        paths=len(paths),
+        paths=paths,
         checked=checked,
         violations=len(violating),
         violating=tuple(violating),
@@ -701,10 +746,7 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
 
     n = start.n
     deg = start.degrees()
-    W = weight_table(deg)
-    vals = set(deg)
-    row = {x: {y: W[x, y] for y in vals} for x in vals}
-    wrow = [row[x] for x in deg]  # wrow[u][deg[v]] is W[deg[u], deg[v]]
+    wrow = _weight_rows(deg)
     edges = start.edges()
     parent = _bfs(start.adj, 0)[1]
     ne = len(edges)

@@ -246,6 +246,98 @@ def test_search_matches_recorded_output(capsys):
     assert capsys.readouterr().out == SEARCH_OUT
 
 
+# pinned bit for bit: the paper's sequence through both checkers, one
+# violating record per line (CI compares the installed console script too)
+CHECK_ARGV = ["check", "--degrees", "5,5,5,4,3,3,2,2"]
+CHECK_OUT = (
+    '{"degrees": [5, 5, 5, 4, 3, 3, 2, 2], "theorem1": {"paths": 105, "checked": 717, "violations": 80, "records": [{"path": [4, 1, 0, 3, 11, 13, 15], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [4, 1, 0, 3, 11, 13, 16], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [4, 1, 0, 3, 11, 13, 17], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [4, 1, 0, 3, 11, 13, 18], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [4, 1, 0, 3, 12, 14, 19], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [4, 1, 0, 3, 12, 14, 20], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [4, 1, 0, 3, 12, 14, 21], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [4, 1, 0, 3, 12, 14, 22], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [5, 1, 0, 3, 11, 13, 15], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [5, 1, 0, 3, 11, 13, 16], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [5, 1, 0, 3, 11, 13, 17], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [5, 1, 0, 3, 11, 13, 18], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [5, 1, 0, 3, 12, 14, 19], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [5, 1, 0, 3, 12, 14, 20], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [5, 1, 0, 3, 12, 14, 21], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [5, 1, 0, 3, 12, 14, 22], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [6, 1, 0, 3, 11, 13, 15], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [6, 1, 0, 3, 11, 13, 16], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [6, 1, 0, 3, 11, 13, 17], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [6, 1, 0, 3, 11, 13, 18], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [6, 1, 0, 3, 12, 14, 19], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [6, 1, 0, 3, 12, 14, 20], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [6, 1, 0, 3, 12, 14, 21], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [6, 1, 0, 3, 12, 14, 22], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [7, 1, 0, 3, 11, 13, 15], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [7, 1, 0, 3, 11, 13, 16], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [7, 1, 0, 3, 11, 13, 17], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [7, 1, 0, 3, 11, 13, 18], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [7, 1, 0, 3, 12, 14, 19], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [7, 1, 0, 3, 12, 14, 20], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [7, 1, 0, 3, 12, 14, 21], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [7, 1, 0, 3, 12, 14, 22], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [8, 2, 0, 3, 11, 13, 15], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [8, 2, 0, 3, 11, 13, 15], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [8, 2, 0, 3, 11, 13, 16], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [8, 2, 0, 3, 11, 13, 16], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [8, 2, 0, 3, 11, 13, 17], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [8, 2, 0, 3, 11, 13, 17], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [8, 2, 0, 3, 11, 13, 18], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [8, 2, 0, 3, 11, 13, 18], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [8, 2, 0, 3, 12, 14, 19], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [8, 2, 0, 3, 12, 14, 19], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [8, 2, 0, 3, 12, 14, 20], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [8, 2, 0, 3, 12, 14, 20], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [8, 2, 0, 3, 12, 14, 21], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [8, 2, 0, 3, 12, 14, 21], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [8, 2, 0, 3, 12, 14, 22], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [8, 2, 0, 3, 12, 14, 22], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [9, 2, 0, 3, 11, 13, 15], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [9, 2, 0, 3, 11, 13, 15], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [9, 2, 0, 3, 11, 13, 16], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [9, 2, 0, 3, 11, 13, 16], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [9, 2, 0, 3, 11, 13, 17], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [9, 2, 0, 3, 11, 13, 17], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [9, 2, 0, 3, 11, 13, 18], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [9, 2, 0, 3, 11, 13, 18], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [9, 2, 0, 3, 12, 14, 19], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [9, 2, 0, 3, 12, 14, 19], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [9, 2, 0, 3, 12, 14, 20], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [9, 2, 0, 3, 12, 14, 20], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [9, 2, 0, 3, 12, 14, 21], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [9, 2, 0, 3, 12, 14, 21], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [9, 2, 0, 3, 12, 14, 22], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [9, 2, 0, 3, 12, 14, 22], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [10, 2, 0, 3, 11, 13, 15], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [10, 2, 0, 3, 11, 13, 15], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [10, 2, 0, 3, 11, 13, 16], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [10, 2, 0, 3, 11, 13, 16], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [10, 2, 0, 3, 11, 13, 17], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [10, 2, 0, 3, 11, 13, 17], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [10, 2, 0, 3, 11, 13, 18], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [10, 2, 0, 3, 11, 13, 18], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [10, 2, 0, 3, 12, 14, 19], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [10, 2, 0, 3, 12, 14, 19], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [10, 2, 0, 3, 12, 14, 20], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [10, 2, 0, 3, 12, 14, 20], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [10, 2, 0, 3, 12, 14, 21], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [10, 2, 0, 3, 12, 14, 21], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
+    '{"path": [10, 2, 0, 3, 12, 14, 22], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
+    '{"path": [10, 2, 0, 3, 12, 14, 22], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}]}, "local_max": {"is_local_max": true, "base_so": 106.61257578712797, "best_delta": 4.440892098500626e-16}}\n'
+)
+
+
+def test_check_matches_recorded_output(capsys):
+    assert run(CHECK_ARGV) == 0
+    assert capsys.readouterr().out == CHECK_OUT
+
+
 def test_reused_parser_keeps_no_state(capsys, monkeypatch):
     # run() parses with one parser per process; each call must see what a
     # freshly built parser sees, whatever the calls before it passed

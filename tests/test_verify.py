@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import json
 import math
 import random
@@ -15,6 +16,7 @@ from sombortree.graph import (
     Tree,
     _bfs,
     canonical_form,
+    exceeds,
     leaf_to_leaf_paths,
     sombor_index,
     validate,
@@ -28,6 +30,7 @@ from sombortree.construct import (
 from sombortree import verify
 from sombortree.sweep import generate_degree_sequences
 from sombortree.verify import (
+    LocalMaxReport,
     PathInequalityRecord,
     SwapMove,
     _delta,
@@ -44,7 +47,6 @@ from sombortree.verify import (
     prufer_space_size,
     prufer_to_tree,
     swap_delta,
-    tree_to_prufer,
     two_swap_neighbors,
 )
 
@@ -96,6 +98,26 @@ def test_prufer_degree_law():
     counts = Counter(seq)
     for v in range(6):
         assert t.degree(v) == counts[v] + 1
+
+
+def tree_to_prufer(t: Tree) -> tuple[int, ...]:
+    """Encode by repeatedly stripping the smallest-id leaf."""
+    if t.n < 2:
+        raise ValueError("need n >= 2")
+    deg = list(t.degrees())
+    adj = [set(ns) for ns in t.adj]
+    heap = [v for v in range(t.n) if deg[v] == 1]
+    heapq.heapify(heap)
+    out = []
+    for _ in range(t.n - 2):
+        leaf = heapq.heappop(heap)
+        nb = next(iter(adj[leaf]))
+        out.append(nb)
+        adj[nb].discard(leaf)
+        deg[nb] -= 1
+        if deg[nb] == 1:
+            heapq.heappush(heap, nb)
+    return tuple(out)
 
 
 @given(st.integers(3, 8), st.data())
@@ -418,6 +440,59 @@ def test_spider_not_local_max():
     assert canonical_form(improved) == canonical_form(CATERPILLAR_322)
 
 
+def _reference_local_max(t):
+    """is_local_max as a scan of every move of two_swap_neighbors, each
+    scored by swap_delta: the shape its pruned loop replaced."""
+    base = sombor_index(t)
+    best_move, best_delta = None, 0.0
+    for move in two_swap_neighbors(t):
+        delta = swap_delta(t, move)
+        if delta > best_delta:
+            best_move, best_delta = move, delta
+    if exceeds(base + best_delta, base):
+        return LocalMaxReport(False, base, best_move, best_delta)
+    return LocalMaxReport(True, base, None, best_delta)
+
+
+def assert_local_max_matches_reference(t):
+    ref = _reference_local_max(t)
+    report = is_local_max(t)
+    assert report.to_dict() == ref.to_dict()
+    assert report.best_delta.hex() == ref.best_delta.hex()
+    assert report.base_so.hex() == ref.base_so.hex()
+    assert report.best_move == ref.best_move
+    return report
+
+
+@given(random_trees(max_n=40))
+@example(SPIDER_322)
+@example(Tree.from_edges(1, []))
+@example(Tree.from_edges(2, [(0, 1)]))
+@settings(max_examples=300, deadline=None)
+def test_pruned_local_max_matches_reference_on_random_trees(t):
+    # uniform random trees are rarely local maxima, so most examples carry
+    # a best move that the pruned scan must find first in pair order
+    assert_local_max_matches_reference(t)
+
+
+def test_pruned_local_max_matches_reference_on_constructed_trees():
+    seqs = generate_degree_sequences(14)
+    assert len(seqs) == 271
+    for d in seqs:
+        assert_local_max_matches_reference(construct_max_tree(d))
+
+
+def test_seeded_random_trees_are_mostly_not_local_maxima():
+    # the identity tests above need improvable trees to test the best move
+    rng = random.Random(5)
+    trees = []
+    for _ in range(200):
+        n = rng.randint(3, 40)
+        trees.append(prufer_to_tree([rng.randrange(n) for _ in range(n - 2)], n))
+    reports = [assert_local_max_matches_reference(t) for t in trees]
+    assert sum(not r.is_local_max for r in reports) > len(reports) // 2
+
+
 # -- Theorem 1 reporter ------------------------------------------------------
 
 
@@ -515,6 +590,55 @@ def test_streamed_theorem1_matches_reference_on_constructed_trees():
     assert len(seqs) == 271
     for d in seqs:
         assert_theorem1_matches_reference(construct_max_tree(d))
+
+
+def _leaves_on(n, spine, hung):
+    """A tree on the spine edges, with hung[v] leaves added at vertex v in
+    the order given by the leaf ids of hung (vertex -> list of leaf ids)."""
+    edges = list(spine)
+    for v, ids in hung.items():
+        edges += [(v, leaf) for leaf in ids]
+    return Tree.from_edges(n, edges)
+
+
+# s = 0 (degree 3), x = 1 (degree 2), u = 2 (degree 4): the support path
+# 0,1,2 has interior degrees 3,2,4, and d(v1) >= d(v3) fails on it but not
+# on its reverse 4,2,3.  Leaves 3, 6 hang on s and 4, 5, 7 on u, so leaf
+# pairs run both ways between the two supports.
+ORIENTED = _leaves_on(8, [(0, 1), (1, 2)], {0: [3, 6], 2: [4, 5, 7]})
+
+SUPPORT_CASES = {
+    "single_vertex": Tree.from_edges(1, []),
+    "lone_edge": Tree.from_edges(2, [(0, 1)]),
+    "star_k15": Tree.from_edges(6, [(0, i) for i in range(1, 6)]),
+    # legs of length 1, 2, 3 and 3 from a degree-4 center
+    "spider": Tree.from_edges(
+        10, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (0, 7), (7, 8), (8, 9)]
+    ),
+    # spine 0..4; 12 leaves crowd onto vertices 0, 2 and 4, ids interleaved
+    "crowded_caterpillar": _leaves_on(
+        17,
+        [(i, i + 1) for i in range(4)],
+        {0: [5, 8, 11, 14], 2: [6, 9, 12, 15], 4: [7, 10, 13, 16]},
+    ),
+    "oriented_pair": ORIENTED,
+}
+
+
+@pytest.mark.parametrize("name", SUPPORT_CASES)
+def test_support_grouping_matches_reference(name):
+    assert_theorem1_matches_reference(SUPPORT_CASES[name])
+
+
+def test_support_pair_orientations_differ():
+    report = check_theorem1(ORIENTED)
+    # from s to u: (3,4), (3,5), (3,7), (6,7); from u to s: (4,6), (5,6)
+    assert report.paths == 10
+    assert [r.path for r in report.violating] == [
+        (3, 0, 1, 2, 4), (3, 0, 1, 2, 5), (3, 0, 1, 2, 7), (6, 0, 1, 2, 7)
+    ]
+    assert all(r.inequality == "d(v1) >= d(v3)" for r in report.violating)
+    assert_theorem1_matches_reference(ORIENTED)
 
 
 def test_theorem1_builds_records_only_for_violations(monkeypatch):
