@@ -214,6 +214,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.budget < 0:
+        raise _InputError(f"--budget must be at least 0, got {args.budget}")
     d = _parse_degrees(args.degrees)
     result = anneal_search(d, budget=args.budget, seed=args.seed)
     improved = exceeds(result.best_so, result.start_so)

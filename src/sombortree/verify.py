@@ -551,11 +551,35 @@ def _record_fields(degrees, i: int, li: int, ri: int, hi: int, lo: int) -> dict:
 
 @dataclass(frozen=True)
 class Theorem1Report:
+    """Theorem-1 counts; ``violating`` and ``records`` are built on first read."""
+
     tree: Tree = field(repr=False, compare=False)
     paths: int
     checked: int
     violations: int
-    violating: tuple[PathInequalityRecord, ...]
+    # s -> {u: (support path s..u, violated entries)}, the lower-id leaf on s
+    table: dict = field(repr=False, hash=False)
+
+    @functools.cached_property
+    def violating(self) -> tuple[PathInequalityRecord, ...]:
+        """The violated inequalities, by leaf pair (by id), then table order."""
+        leaves, deg = self.tree.leaves(), self.tree.degrees()
+        support = [self.tree.adj[a][0] for a in leaves]
+        fields = {}  # s -> {u: (support path s..u, its records' other fields)}
+        for s, row in self.table.items():
+            out = fields[s] = {}
+            for u, (path, hits) in row.items():
+                degs = [1] + [deg[v] for v in path]
+                out[u] = (path, [_record_fields(degs, *e) for e in hits])
+        violating = []
+        for x, a in enumerate(leaves):
+            if (row := fields.get(support[x])) is None:
+                continue
+            for b, u in zip(leaves[x + 1 :], support[x + 1 :]):
+                if (hit := row.get(u)) is not None:
+                    path = (a, *hit[0], b)
+                    violating += [PathInequalityRecord(path=path, **f) for f in hit[1]]
+        return tuple(violating)
 
     @functools.cached_property
     def records(self) -> tuple[PathInequalityRecord, ...]:
@@ -596,57 +620,41 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     support (its one neighbour) to b's.  So the inequalities are tested,
     with int comparisons, once per ordered pair of support vertices, by
     one BFS from each support; both orientations are tested, since the
-    lower-id leaf starts its path.  ``checked`` adds each table's length
-    once per leaf pair of the support pair, and a record is built only for
-    a leaf pair whose support pair has a violation, in the order of leaf
-    pairs by id and then of the table.  The report's ``records`` (all of
-    them, in the same order) is built from the tree on first read.
+    lower-id leaf starts its path.  The counts need no record: each table's
+    length, and each ordered support pair's violations, count once per leaf
+    pair on that support pair (lower-id leaf first).  ``violating`` is built
+    from the report's ``table`` of those violations on first read, and
+    ``records`` (every inequality) from the tree.
     """
     leaves = t.leaves()
     paths = len(leaves) * (len(leaves) - 1) // 2
     if t.n <= 2:  # the lone edge's one path has no interior
-        return Theorem1Report(t, paths, 0, 0, ())
+        return Theorem1Report(t, paths, 0, 0, {})
     deg = t.degrees()
     support = [t.adj[a][0] for a in leaves]
     count = list(Counter(support).items())  # (support, its leaf count)
     pairs_for = functools.cache(_path_pairs)
     checked = 0
-    bad = {}  # s -> {u: (support path s..u, fields of its violations)}
+    table = {}  # s -> {u: (support path s..u, its violated entries)}
     for x, (s, cs) in enumerate(count):
         parent = _bfs(t.adj, s)[1]
         for u, cu in count[x:]:
             inner = [u]
             while inner[-1] != s:
                 inner.append(parent[inner[-1]])
-            table = pairs_for(len(inner))
-            checked += (cs * (cs - 1) // 2 if s == u else cs * cu) * len(table)
+            pairs = pairs_for(len(inner))
+            checked += (cs * (cs - 1) // 2 if s == u else cs * cu) * len(pairs)
             # both orientations: from u to s, then from s to u
             for a, b, path in ((u, s, inner), (s, u, inner[::-1])):
                 degs = [1] + [deg[v] for v in path]
-                fields = [
-                    _record_fields(degs, i, li, ri, hi, lo)
-                    for i, li, ri, hi, lo in table
-                    if degs[hi] < degs[lo]
-                ]
-                if fields:
-                    bad.setdefault(a, {})[b] = (tuple(path), fields)
-    record = PathInequalityRecord  # looked up per call, not per import
-    violating = []
-    for x, a in enumerate(leaves):
-        row = bad.get(support[x])
-        if row is None:
-            continue
-        for b, u in zip(leaves[x + 1 :], support[x + 1 :]):
-            if (hit := row.get(u)) is not None:
-                path = (a, *hit[0], b)
-                violating += [record(path=path, **f) for f in hit[1]]
-    return Theorem1Report(
-        tree=t,
-        paths=paths,
-        checked=checked,
-        violations=len(violating),
-        violating=tuple(violating),
-    )
+                hits = [e for e in pairs if degs[e[3]] < degs[e[4]]]
+                if hits:
+                    table.setdefault(a, {})[b] = (tuple(path), hits)
+    violations, later = 0, Counter()  # the supports of the leaves after this one
+    for s in reversed(support):  # from the highest leaf id down
+        violations += sum(later[u] * len(h) for u, (_, h) in table.get(s, {}).items())
+        later[s] += 1
+    return Theorem1Report(t, paths, checked, violations, table)
 
 
 # ---------------------------------------------------------------------------

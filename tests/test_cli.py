@@ -231,6 +231,20 @@ def test_search_confirms_constructor(capsys):
     assert payload["best_so"] >= payload["constructed_so"] - 1e-12
 
 
+def test_search_negative_budget_exit_1(capsys):
+    assert run(["search", "--degrees", "3,2,2", "--budget", "-5", "--seed", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: --budget must be at least 0, got -5\n"
+
+
+def test_search_budget_zero(capsys):
+    assert run(["search", "--degrees", "3,2,2", "--budget", "0", "--seed", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["budget"] == 0 and payload["moves"] == 0
+    assert payload["best_so"] == payload["constructed_so"]
+
+
 # pinned bit for bit: the seeded annealer's output must not move (CI runs
 # the same line through the installed console script)
 SEARCH_ARGV = ["search", "--degrees", "5,5,5,4,3,3,2,2", "--budget", "3000", "--seed", "11"]

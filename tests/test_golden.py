@@ -78,10 +78,15 @@ def test_construct_realizes_m20000():
     assert len(t.leaves()) == d.leaf_count
 
 
+# The sweep CSV for n <= 10 (CI compares `sombor sweep --max-n 10` through
+# the installed console script too).
+SWEEP_CSV_N10 = "7eec03ab6cbb8dcd3f21ecf9b53172332ac1918772be5adafa2c4bbe3bc8d062"
+
+
 def test_sweep_csv_n10(tmp_path):
     out = tmp_path / "sweep.csv"
     sweep(10, out_csv=out)
-    assert sha(out.read_bytes()) == "7eec03ab6cbb8dcd3f21ecf9b53172332ac1918772be5adafa2c4bbe3bc8d062"
+    assert sha(out.read_bytes()) == SWEEP_CSV_N10
 
 
 # `sombor check` stdout (Theorem-1 counts and violating records, 2-swap

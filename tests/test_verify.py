@@ -652,11 +652,53 @@ def test_theorem1_builds_records_only_for_violations(monkeypatch):
     monkeypatch.setattr(verify, "PathInequalityRecord", CountedRecord)
     report = check_theorem1(construct_max_tree(validate([5, 5, 5, 4, 3, 3, 2, 2])))
     assert 0 < report.violations < report.checked
+    assert built == []  # the counts need no record
+    assert len(report.violating) == report.violations
+    assert len(built) == report.violations
+    report.violating  # cached: a second read builds nothing
     assert len(built) == report.violations
     assert len(report.records) == report.checked
     assert len(built) == report.violations + report.checked
-    report.records  # cached: a second read builds nothing
+    report.records  # cached too
     assert len(built) == report.violations + report.checked
+
+
+def assert_counts_need_no_records(t):
+    records, paths = reference_theorem1(t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "PathInequalityRecord", None)  # calling it raises
+        report = check_theorem1(t)
+        assert (report.paths, report.checked, report.violations) == (
+            paths, len(records), sum(not r.holds for r in records)
+        )
+        assert report == check_theorem1(Tree.from_json(t.to_json()))
+
+
+@given(random_trees(max_n=40))
+@settings(max_examples=200, deadline=None)
+def test_theorem1_counts_need_no_records_on_random_trees(t):
+    assert_counts_need_no_records(t)
+
+
+def test_theorem1_counts_need_no_records_on_constructed_trees():
+    for d in generate_degree_sequences(14):
+        assert_counts_need_no_records(construct_max_tree(d))
+
+
+# Like ORIENTED, with the leaves of its two supports interleaved by id:
+# 1, 5 on s = 0 and 3, 6, 7 on u = 4.  Only s to u violates (d(v1) >= d(v3)
+# reads 3 >= 4), so of the six leaf pairs across the two supports the five
+# that start on s violate and (3, 5) does not: neither 6 nor 0 (leaf counts
+# multiplied, in one orientation or the other) is the count.
+INTERLEAVED = _leaves_on(8, [(0, 2), (2, 4)], {0: [1, 5], 4: [3, 6, 7]})
+
+
+def test_theorem1_counts_interleaved_leaf_pairs():
+    report = check_theorem1(INTERLEAVED)
+    assert report.violations == 5
+    assert [r.path[0] for r in report.violating] == [1, 1, 1, 5, 5]
+    assert_counts_need_no_records(INTERLEAVED)
+    assert_theorem1_matches_reference(INTERLEAVED)
 
 
 # -- attachment profile ------------------------------------------------------
