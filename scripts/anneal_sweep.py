@@ -19,6 +19,8 @@ def main():
     parser.add_argument("--budget", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
+    if args.budget < 0:
+        parser.error(f"--budget must be at least 0, got {args.budget}")
 
     improved = []
     for d in generate_degree_sequences(args.max_n):

@@ -8,8 +8,9 @@ minimum leaf-adjacent degree.
 construct_max_tree does this in one pass over one growing adjacency, in
 O(n log n): every vertex has its final degree when it is laid out, so a
 leaf's key (neighbor degree, leaf id) never changes and one heap yields
-each attachment site.  materialize, merge_once and attachment_site are
-the same steps on whole Trees, one merge at a time.
+each attachment site; one BFS then assigns the final ids and builds the
+Tree.  materialize, merge_once and attachment_site are the same steps on
+whole Trees, one merge at a time, each validated by Tree.from_edges.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from heapq import heappop, heappush
 
 from sombortree.graph import (
     DegreeSequence,
+    InvalidTreeError,
     NoLeavesError,
     Tree,
-    _bfs,
     leaf_layer_profile,
 )
 
@@ -149,15 +150,19 @@ def merge_at(t: Tree, s: RootedSubtree, leaf: int) -> Tree:
 def construct_max_tree(d: DegreeSequence) -> Tree:
     """Lay out the base, then each chain back to front at the attachment
     site, and relabel by BFS from the base root, visiting children by
-    non-increasing degree.  Ids before the relabel are those materialize +
-    merge_once give: a chain root takes the chosen leaf's id, its other
-    vertices the next free ids in materialize order.
+    non-increasing degree, then id.  Ids before the relabel are those
+    materialize + merge_once give: a chain root takes the chosen leaf's id,
+    its other vertices the next free ids in materialize order.
+
+    The BFS gives each vertex's children the next free ids, so adjacency
+    tuples come out sorted and the Tree is built as is, once the degrees sum
+    to 2n - 2 and the BFS reaches all n vertices (else InvalidTreeError).
 
     The empty sequence gives the single edge; m = 1 gives the star.
     """
     if d.m == 0:
         return Tree.from_edges(2, [(0, 1)])
-    adj: list[list[int]] = [[]]
+    adj: list[list[int]] = [[]]  # a non-root vertex's list starts with its parent
     sites: list[tuple[int, int]] = []  # heap of (neighbor degree, leaf id)
     for spec in reversed(decompose(d)):
         root = heappop(sites)[1] if sites else 0
@@ -173,11 +178,20 @@ def construct_max_tree(d: DegreeSequence) -> Tree:
                 adj[c].append(leaf)
                 adj.append([c])
                 heappush(sites, (cdeg, leaf))
-    deg = [len(ns) for ns in adj]
-    by_degree = [sorted(ns, key=lambda u: (-deg[u], u)) for ns in adj]
-    remap = [0] * len(adj)
-    for i, v in enumerate(_bfs(by_degree, 0)[0]):
-        remap[v] = i
-    return Tree.from_edges(
-        len(adj), [(remap[u], remap[v]) for u, ns in enumerate(adj) for v in ns if u < v]
-    )
+    n = len(adj)
+    rank = [(n - len(ns)) * n + v for v, ns in enumerate(adj)]  # sorts as (-degree, id)
+    order = [0]  # layout ids in BFS order: order[i] gets the final id i
+    up = [()]  # up[i]: (final id of order[i]'s parent,), () for the root
+    out = []
+    for i, v in zip(range(n), order):  # at most n visits, even on a bad layout
+        kids = adj[v][1:] if i else adj[v]
+        if kids:
+            lo = len(order)
+            order += [r % n for r in sorted(map(rank.__getitem__, kids))]
+            up += [(i,)] * len(kids)
+            out.append((*up[i], *range(lo, len(order))))
+        else:
+            out.append(up[i])
+    if len(order) != n or sum(map(len, adj)) != 2 * n - 2:
+        raise InvalidTreeError(f"the layout on {n} vertices is not a tree")
+    return Tree(n, tuple(out))

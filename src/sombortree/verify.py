@@ -745,11 +745,14 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
     seed.  A draw is kept when i, j are disjoint edges and r is their one
     valid recombination (the test of _valid_recombination); _SAMPLE_TRIES
     draws in a row without a kept one end the warm-up, or the search.
+    A negative budget raises ValueError.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     rng = random.Random(seed)
     start = construct_max_tree(d)
     start_so = sombor_index(start)
-    if budget <= 0 or start.n == 2:  # a lone edge has no swap
+    if budget == 0 or start.n == 2:  # a lone edge has no swap
         return AnnealResult(start, start_so, start_so, 0, 0)
 
     n = start.n
@@ -825,6 +828,8 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
                 best_so = cur_so
                 best_edges = list(edges)
         temp *= 0.999
+    if best_so == start_so:  # no move beat the start: best_edges is its edges
+        return AnnealResult(start, start_so, start_so, moves, accepted)
     best = Tree.from_edges(n, best_edges)
     # re-measure so accumulated float drift cannot leak out
     return AnnealResult(best, sombor_index(best), start_so, moves, accepted)

@@ -1,4 +1,6 @@
 import math
+import random
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import given, settings
@@ -270,6 +272,60 @@ def reference_construct(d):
 def test_construct_matches_merge_reference(degrees):
     d = validate(degrees)
     assert construct_max_tree(d).to_json() == reference_construct(d).to_json()
+
+
+def relabel_reference(d):
+    """The one-pass layout finished the way construct_max_tree used to be:
+    sort each vertex's neighbours by (-degree, id), relabel by BFS from
+    vertex 0, and rebuild with the validating Tree.from_edges."""
+    if d.m == 0:
+        return Tree.from_edges(2, [(0, 1)])
+    adj = [[]]
+    sites = []
+    for spec in reversed(decompose(d)):
+        root = heappop(sites)[1] if sites else 0
+        k = len(spec.child_degrees)
+        kids = range(len(adj), len(adj) + k + spec.filler_leaves)
+        for c in kids:
+            adj[root].append(c)
+            adj.append([root])
+        for c in kids[k:]:
+            heappush(sites, (spec.root_degree, c))
+        for c, cdeg in zip(kids, spec.child_degrees):
+            for leaf in range(len(adj), len(adj) + cdeg - 1):
+                adj[c].append(leaf)
+                adj.append([c])
+                heappush(sites, (cdeg, leaf))
+    order, seen = [0], {0}
+    for v in order:
+        for u in sorted(adj[v], key=lambda u: (-len(adj[u]), u)):
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    remap = {v: i for i, v in enumerate(order)}
+    return Tree.from_edges(
+        len(adj), [(remap[u], remap[v]) for u, ns in enumerate(adj) for v in ns if u < v]
+    )
+
+
+def assert_matches_relabel_reference(d):
+    t = construct_max_tree(d)
+    assert t == relabel_reference(d)
+    # built without Tree.from_edges, yet with its sorted, symmetric adjacency
+    assert t == Tree.from_edges(t.n, t.edges())
+
+
+@given(st.lists(st.integers(2, 12), max_size=80))
+@settings(max_examples=150, deadline=None)
+def test_construct_matches_relabel_reference(degrees):
+    assert_matches_relabel_reference(validate(degrees))
+
+
+@pytest.mark.parametrize("hi", [3, 6, 40])
+def test_construct_matches_relabel_reference_seeded(hi):
+    rng = random.Random(hi)
+    for m in list(range(1, 41)) + [100, 250, 500]:
+        assert_matches_relabel_reference(validate([rng.randint(2, hi) for _ in range(m)]))
 
 
 def test_last_merge_site_beats_alternatives():

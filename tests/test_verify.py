@@ -764,6 +764,11 @@ def test_anneal_zero_budget_returns_constructed():
     assert result.moves == 0
 
 
+def test_anneal_rejects_negative_budget():
+    with pytest.raises(ValueError, match="budget"):
+        anneal_search(validate([3, 2, 2]), budget=-5, seed=1)
+
+
 def test_anneal_deterministic():
     d = validate([4, 3, 2, 2])
     a = anneal_search(d, budget=2000, seed=123)
@@ -898,6 +903,31 @@ def test_one_loop_anneal_matches_reference_loop(d, budget, seed):
     assert _sha(result.best_tree) == _sha(best)
     if d.m <= 1:
         assert result.moves == 0
+
+
+def test_unbeaten_anneal_returns_constructed_tree(monkeypatch):
+    # an anneal that rebuilds no tree is one where no move beat the start:
+    # it must hand back the constructed tree and its exact index, as the
+    # reference loop's rebuild and re-measure do
+    rebuilt = []
+    from_edges = Tree.from_edges
+    monkeypatch.setattr(
+        Tree, "from_edges",
+        classmethod(lambda cls, n, edges: rebuilt.append(n) or from_edges(n, edges)),
+    )
+    unbeaten = 0
+    for d in generate_degree_sequences(12):
+        rebuilt.clear()
+        result = anneal_search(d, budget=200, seed=1)
+        assert result.best_so.hex() == sombor_index(result.best_tree).hex()
+        if not rebuilt:
+            unbeaten += 1
+            assert result.best_tree == construct_max_tree(d)
+        moves, accepted, best_so, _, best = _reference_anneal(d, 200, 1)
+        assert (result.moves, result.accepted) == (moves, accepted)
+        assert result.best_so.hex() == best_so.hex()
+        assert result.best_tree == best
+    assert unbeaten > 0
 
 
 # Seeded runs pinned bit for bit: a change to the annealer's swap sampling
