@@ -46,7 +46,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _cap(args) -> int | None:
     """--cap, else the SOMBOR_CAP environment variable, else None: no cap,
-    so the oracle is exact."""
+    so the oracle is exact.  A cap bounds the skeleton placements the
+    oracle scores per sequence."""
     source, cap = "--cap", args.cap
     if cap is None:
         source, env = "SOMBOR_CAP", os.environ.get("SOMBOR_CAP")
@@ -90,7 +91,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="constructor vs exhaustive oracle")
     p.add_argument("--degrees", required=True)
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("check", help="path-inequality and local-max reports")
     p.add_argument("--degrees", required=True)
@@ -148,7 +148,7 @@ def _cmd_verify(args) -> int:
     cap = _cap(args)
     constructed = construct_max_tree(d)
     c_so = sombor_index(constructed)
-    result = oracle_max(d, cap=cap, workers=args.workers)
+    result = oracle_max(d, cap=cap)
     gap = result.max_so - c_so
     optimal = not exceeds(result.max_so, c_so)
     payload = {

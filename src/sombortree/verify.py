@@ -2,9 +2,8 @@
 
 Exact maximum by a scan over free skeleton trees (the trees left after
 deleting the leaves, one per isomorphism class) with every placement of
-the degrees on them, deduplicated by canonical form; only an explicit cap
-below the labeled tree count walks a prefix of the labeled trees of the
-Prüfer bijection instead.  Also degree-preserving 2-swap local search
+the degrees on them, deduplicated by canonical form; an explicit cap
+bounds the placements scored.  Also degree-preserving 2-swap local search
 (one swap-validity test on a parent array rooted at vertex 0, reached
 only by pairs whose deltas could beat the best), path-inequality and
 attachment-site checkers, and a seeded simulated annealer for instances
@@ -16,12 +15,12 @@ a violation.
 from __future__ import annotations
 
 import functools
-import heapq
 import json
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from math import factorial
 
 from sombortree.graph import (
@@ -45,34 +44,7 @@ _SAMPLE_TRIES = 300  # draws before the annealer gives up on finding a swap
 
 
 # ---------------------------------------------------------------------------
-# Prüfer bijection
-
-
-def prufer_to_tree(seq, n: int) -> Tree:
-    """Standard Prüfer decode: vertex degree = occurrences + 1."""
-    seq = list(seq)
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if len(seq) != n - 2:
-        raise ValueError(f"sequence length {len(seq)} != n-2 = {n - 2}")
-    deg = [1] * n
-    for v in seq:
-        if not 0 <= v < n:
-            raise ValueError(f"entry {v} out of range 0..{n - 1}")
-        deg[v] += 1
-    heap = [v for v in range(n) if deg[v] == 1]
-    heapq.heapify(heap)
-    edges = []
-    for v in seq:
-        leaf = heapq.heappop(heap)
-        edges.append((leaf, v))
-        deg[v] -= 1
-        if deg[v] == 1:
-            heapq.heappush(heap, v)
-    u = heapq.heappop(heap)
-    v = heapq.heappop(heap)
-    edges.append((u, v))
-    return Tree.from_edges(n, edges)
+# Labeled count and permutations
 
 
 def prufer_space_size(d: DegreeSequence) -> int:
@@ -96,23 +68,6 @@ def _next_permutation(a: list[int]) -> bool:
     a[i], a[j] = a[j], a[i]
     a[i + 1 :] = a[:i:-1]
     return True
-
-
-def enumerate_trees(d: DegreeSequence, cap: int | None = None):
-    """Stream every labeled tree realizing d, in lexicographic Prüfer order.
-
-    Internal vertices are 0..m-1 (vertex i with degree d_i), leaves
-    m..n-1.  Stops after cap trees when a cap is given.
-    """
-    n = d.vertex_count
-    # ascending start: internal vertex i appears d_i - 1 times
-    seq = [i for i, di in enumerate(d.degrees) for _ in range(di - 1)]
-    count = 0
-    while cap is None or count < cap:
-        yield prufer_to_tree(seq, n)
-        count += 1
-        if not _next_permutation(seq):
-            return
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +183,14 @@ def _skeleton_scan(d: DegreeSequence):
     the multiset d on a free tree S with d(v) >= s(v) is scanned, and the
     score is the fsum of the tree's edge weights, bit-identical to
     sombor_index of the tree.  Isomorphic trees may be scored more than
-    once, through automorphisms of S.
+    once, through automorphisms of S.  The single edge (m = 0) is the one
+    placement of a degree-1 vertex, with its one leaf, on a lone vertex.
     """
     m = d.m
+    if m == 0:
+        key = ((-1,), [0], (1,))
+        yield sombor_index(_hang_leaves(key)), key
+        return
     need = list(d.degrees)  # non-increasing
     W = weight_table(need + [1])
     for parent in free_trees(m):
@@ -261,9 +221,10 @@ def _hang_leaves(key) -> Tree:
     return Tree.from_edges(m + len(hung), edges)
 
 
-def _maximizers(scored, build) -> tuple[float, dict[str, tuple[float, Tree]]]:
-    """Max score and its witnesses: code -> (so, tree) for every score the
-    max does not exceed, one tree per canonical form."""
+def _maximizers(scored) -> tuple[float, dict[str, tuple[float, Tree]]]:
+    """Max score and its witnesses over (so, placement) pairs: code -> (so,
+    tree) for every score the max does not exceed, one tree per canonical
+    form."""
     best = 0.0  # every tree has positive Sombor value
     wits: dict[str, tuple[float, Tree]] = {}
     for so, key in scored:
@@ -272,39 +233,31 @@ def _maximizers(scored, build) -> tuple[float, dict[str, tuple[float, Tree]]]:
         if so > best:
             best = so
             wits = {c: w for c, w in wits.items() if not exceeds(best, w[0])}
-        tree = build(key)
+        tree = _hang_leaves(key)
         wits.setdefault(canonical_form(tree), (so, tree))
     return best, wits
 
 
-def oracle_max(
-    d: DegreeSequence, cap: int | None = None, workers: int = 1
-) -> OracleResult:
-    """Exact maximum Sombor value over all trees realizing d.
+def oracle_max(d: DegreeSequence, cap: int | None = None) -> OracleResult:
+    """Maximum Sombor value over all trees realizing d, by the skeleton scan.
 
     Witnesses are all non-isomorphic trees whose value the max does not
-    exceed (graph.exceeds).  ``enumerated`` is the number of labeled trees
-    covered, prufer_space_size(d) or cap.  There is no default cap: without
-    one, or with one at or above that count, the scan runs over free
-    skeleton trees and is exact.  When the count exceeds an explicit cap,
-    only the first cap labeled trees of enumerate_trees are scanned and the
-    result is inconclusive (capped=True).  ``workers`` is accepted and
-    ignored.
+    exceed (graph.exceeds).  There is no default cap: without one, or with
+    one at or above the number of skeleton placements, every placement is
+    scored, the result is exact and ``enumerated`` is the labeled tree
+    count prufer_space_size(d).  An explicit cap bounds the placements
+    scored: when more than cap exist, only the first cap are scored,
+    ``enumerated`` is cap and the result is inconclusive (capped=True).
     """
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    total = prufer_space_size(d)
-    capped = cap is not None and total > cap
-    # the single edge has no internal vertex to form a skeleton
-    if capped or d.m == 0:
-        scored = ((sombor_index(t), t) for t in enumerate_trees(d, cap))
-        best, wits = _maximizers(scored, lambda t: t)
-    else:
-        best, wits = _maximizers(_skeleton_scan(d), _hang_leaves)
+    scan = _skeleton_scan(d)
+    best, wits = _maximizers(islice(scan, cap))
+    capped = cap is not None and next(scan, None) is not None
     codes = sorted(wits)
     return OracleResult(
         max_so=best,
-        enumerated=cap if capped else total,
+        enumerated=cap if capped else prufer_space_size(d),
         witnesses=tuple(codes),
         capped=capped,
         witness_trees=tuple(wits[c][1] for c in codes),
@@ -592,9 +545,6 @@ class Theorem1Report:
             for path in leaf_to_leaf_paths(self.tree)
             for pair in pairs_for(len(path.vertices) - 2)
         )
-
-    def violating_records(self) -> list[PathInequalityRecord]:
-        return list(self.violating)
 
     def to_dict(self) -> dict:
         return {

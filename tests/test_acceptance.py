@@ -33,9 +33,10 @@ from sombortree.verify import (
     is_local_max,
     oracle_max,
     prufer_space_size,
-    prufer_to_tree,
 )
 from sombortree.sweep import generate_degree_sequences
+
+from labeled import prufer_to_tree
 
 PAPER_DEGREES = (5, 5, 5, 4, 3, 3, 2, 2)
 
@@ -65,8 +66,9 @@ def test_criterion_1_exhaustive_optimality(audit_n12):
 def test_criterion_1_exhaustive_optimality_n16():
     """Criterion 1 over every sequence with n <= 16, by the exact oracle.
 
-    The cap is each sequence's labeled tree count, so no scan is capped;
-    the constructed tree's canonical form must be among the witnesses.
+    The cap is each sequence's labeled tree count, never below its number
+    of skeleton placements (at most 2,912 here), so no scan is capped; the
+    constructed tree's canonical form must be among the witnesses.
     """
     seqs = generate_degree_sequences(16)
     capped, mismatched = [], []

@@ -62,21 +62,26 @@ def test_verify_322(capsys):
 
 
 def test_verify_capped_exits_2(capsys):
-    assert run(["verify", "--degrees", "3,2,2", "--cap", "5"]) == 2
+    # 3,2,2 has 3 skeleton placements; the cap stops the scan after 2
+    assert run(["verify", "--degrees", "3,2,2", "--cap", "2"]) == 2
     assert json.loads(capsys.readouterr().out)["capped"] is True
 
 
 def test_verify_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("SOMBOR_CAP", "5")
+    monkeypatch.setenv("SOMBOR_CAP", "2")
     assert run(["verify", "--degrees", "3,2,2"]) == 2
     monkeypatch.setenv("SOMBOR_CAP", "junk")
     assert run(["verify", "--degrees", "3,2,2"]) == 1
 
 
 def test_verify_workers(capsys):
-    assert run(["verify", "--degrees", "3,2,2", "--workers", "2"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["optimal"] is True and payload["enumerated"] == 12
+    # the option is gone: the oracle runs in one process
+    assert run(["verify", "--degrees", "3,2,2", "--workers", "2"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    error, usage = out.err.splitlines()
+    assert error == "error: unrecognized arguments: --workers 2"
+    assert usage.startswith("usage: sombor")
 
 
 @pytest.mark.parametrize(
@@ -199,7 +204,8 @@ def test_sweep_out_missing_dir_exit_1(capsys, tmp_path):
 
 def test_sweep_capped_exits_2(capsys, tmp_path):
     out = tmp_path / "report.csv"
-    assert run(["sweep", "--max-n", "6", "--cap", "3", "--out", str(out)]) == 2
+    # every sequence with n <= 6 has at most 3 skeleton placements
+    assert run(["sweep", "--max-n", "6", "--cap", "2", "--out", str(out)]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["capped"] > 0 and payload["non_optimal"] == 0
     assert sum(r.capped for r in read_csv(out)) == payload["capped"]
@@ -360,7 +366,7 @@ def test_reused_parser_keeps_no_state(capsys, monkeypatch):
         (["construct", "--degrees", "3,2,2", "--bogus"], 1),
         (["construct", "--degrees", "3,2,2", "--format", "dot"], 0),
         (["construct", "--degrees", "3,2,2"], 0),  # json again
-        (["verify", "--degrees", "3,2,2", "--cap", "5"], 2),
+        (["verify", "--degrees", "3,2,2", "--cap", "2"], 2),
         (["verify", "--degrees", "3,2,2"], 0),  # uncapped again
         (SEARCH_ARGV, 0),
     ]

@@ -23,7 +23,8 @@ from sombortree.construct import (
     merge_at,
     merge_once,
 )
-from sombortree.verify import prufer_to_tree
+
+from labeled import prufer_to_tree
 
 
 def path_tree(n):

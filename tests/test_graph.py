@@ -19,7 +19,8 @@ from sombortree.graph import (
     validate,
 )
 from sombortree.construct import SubtreeSpec, construct_max_tree, materialize
-from sombortree.verify import prufer_to_tree
+
+from labeled import prufer_to_tree
 
 
 def path_tree(n):

@@ -20,16 +20,3 @@ def test_worked_example():
     proc = run_script("worked_example.py")
     assert proc.returncode == 0, proc.stderr
     assert "final: n=23 leaves=15" in proc.stdout
-
-
-def test_anneal_sweep():
-    proc = run_script("anneal_sweep.py", "--max-n", "7", "--budget", "200")
-    assert proc.returncode == 0, proc.stderr
-    assert "done: 0 improvements found" in proc.stdout
-
-
-def test_anneal_sweep_rejects_negative_budget():
-    proc = run_script("anneal_sweep.py", "--max-n", "7", "--budget", "-1")
-    assert proc.returncode == 2
-    assert "--budget must be at least 0" in proc.stderr
-    assert "Traceback" not in proc.stderr

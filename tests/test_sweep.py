@@ -77,7 +77,8 @@ def test_csv_roundtrip(tmp_path):
 
 
 def test_capped_sweep_flags_rows(tmp_path):
-    records = sweep(6, cap=3, out_csv=tmp_path / "r.csv")
+    # every sequence with n <= 6 has at most 3 skeleton placements
+    records = sweep(6, cap=2, out_csv=tmp_path / "r.csv")
     assert any(r.capped for r in records)
     # capped rows are inconclusive; they never produce witness dumps
     assert list(tmp_path.glob("witness_*")) == []

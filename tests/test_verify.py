@@ -1,5 +1,6 @@
 import hashlib
 import heapq
+import itertools
 import json
 import math
 import random
@@ -34,21 +35,23 @@ from sombortree.verify import (
     PathInequalityRecord,
     SwapMove,
     _delta,
+    _maximizers,
     _reroot,
+    _skeleton_scan,
     _valid_recombination,
     anneal_search,
     apply_swap,
     attachment_profile,
     check_theorem1,
-    enumerate_trees,
     free_trees,
     is_local_max,
     oracle_max,
     prufer_space_size,
-    prufer_to_tree,
     swap_delta,
     two_swap_neighbors,
 )
+
+from labeled import enumerate_trees, prufer_to_tree
 
 CATERPILLAR_322 = Tree.from_edges(6, [(0, 1), (1, 2), (0, 3), (0, 4), (2, 5)])
 SPIDER_322 = Tree.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)])
@@ -151,10 +154,6 @@ def test_enumerate_322_count():
         assert t.internal_degrees() == (3, 2, 2)
 
 
-def test_enumerate_respects_cap():
-    assert len(list(enumerate_trees(validate([3, 2, 2]), cap=5))) == 5
-
-
 def test_space_size_matches_enumeration():
     from sombortree.sweep import generate_degree_sequences
 
@@ -216,14 +215,37 @@ def test_skeleton_oracle_matches_labeled_reference():
         assert all(sombor_index(t) == res.max_so for t in res.witness_trees)
 
 
-def test_capped_oracle_matches_labeled_prefix():
+def test_capped_oracle_matches_placement_prefix():
+    # 3,3,3,3,2: 9 placements; the tied witnesses grow at the 2nd and 6th
+    d = validate([3, 3, 3, 3, 2])
+    for cap in range(1, 9):
+        res = oracle_max(d, cap=cap)
+        best, wits = _maximizers(itertools.islice(_skeleton_scan(d), cap))
+        assert res.capped and res.enumerated == cap and res.max_so == best
+        assert res.witnesses == tuple(sorted(wits))
+        assert [canonical_form(t) for t in res.witness_trees] == sorted(wits)
+    assert [len(oracle_max(d, cap=cap).witnesses) for cap in (1, 2, 6)] == [1, 2, 3]
+
+
+def test_cap_counts_skeleton_placements():
+    # 3,3,2,2: 180 labeled trees, 9 placements on its two skeletons
     d = validate([3, 3, 2, 2])
-    res = oracle_max(d, cap=7)
-    trees = list(enumerate_trees(d, cap=7))
-    best = max(sombor_index(t) for t in trees)
-    near = {canonical_form(t) for t in trees if sombor_index(t) >= best - REL_TOL * best}
-    assert res.capped and res.enumerated == 7 and res.max_so == best
-    assert res.witnesses == tuple(sorted(near))
+    assert prufer_space_size(d) == 180
+    assert sum(1 for _ in _skeleton_scan(d)) == 9
+    exact = oracle_max(d)
+    at_count = oracle_max(d, cap=9)
+    assert not at_count.capped and at_count.enumerated == 180
+    assert (at_count.max_so, at_count.witnesses) == (exact.max_so, exact.witnesses)
+    below = oracle_max(d, cap=8)
+    assert below.capped and below.enumerated == 8
+
+
+def test_cap_one_is_exact_on_one_placement():
+    # eleven 2s: 11! labeled trees but one placement, the path's skeleton
+    d = validate([2] * 11)
+    res = oracle_max(d, cap=1)
+    assert not res.capped and res.enumerated == factorial(11)
+    assert res.witnesses == (canonical_form(construct_max_tree(d)),)
 
 
 def test_uncapped_oracle_is_exact_beyond_ten_million_labeled_trees():
@@ -262,23 +284,20 @@ def test_oracle_path():
 
 
 def test_oracle_capped_flag():
-    res = oracle_max(validate([3, 2, 2]), cap=5)
+    # 3,2,2 has 3 placements, so a cap of 2 stops the scan short
+    res = oracle_max(validate([3, 2, 2]), cap=2)
     assert res.capped
-    assert res.enumerated == 5
+    assert res.enumerated == 2
 
 
 def test_oracle_single_edge():
     res = oracle_max(validate([]))
     assert res.max_so == pytest.approx(math.sqrt(2), rel=1e-12)
-
-
-def test_oracle_parallel_matches_serial():
-    d = validate([3, 3, 2, 2])
-    serial = oracle_max(d, workers=1)
-    parallel = oracle_max(d, workers=3)
-    assert parallel.max_so == serial.max_so
-    assert parallel.enumerated == serial.enumerated
-    assert parallel.witnesses == serial.witnesses
+    # the lone edge is one placement, so a cap of 1 leaves it exact
+    capped = oracle_max(validate([]), cap=1)
+    assert not capped.capped and capped.enumerated == 1
+    assert capped.max_so == math.sqrt(2)
+    assert capped.witnesses == res.witnesses
 
 
 def test_oracle_json_embeds_witness_trees():
@@ -520,7 +539,7 @@ def test_theorem1_paper_tree_flags_even_violation():
     assert report.violations > 0
     assert any(
         r.i == 2 and r.parity == "even" and r.lhs_degree == 3 and r.rhs_degree == 2
-        for r in report.violating_records()
+        for r in report.violating
     )
     # reporter never raises; JSON form carries the violations
     import json
@@ -567,7 +586,7 @@ def assert_theorem1_matches_reference(t):
     assert report.paths == paths
     assert report.checked == len(records)
     assert report.violations == len(violating)
-    assert report.violating_records() == violating
+    assert list(report.violating) == violating
     assert report.to_json() == json.dumps(
         {
             "paths": paths,
