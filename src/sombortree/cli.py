@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from sombortree.graph import (
@@ -45,21 +44,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cap(args) -> int | None:
-    """--cap, else the SOMBOR_CAP environment variable, else None: no cap,
-    so the oracle is exact.  A cap bounds the skeleton placements the
-    oracle scores per sequence."""
-    source, cap = "--cap", args.cap
-    if cap is None:
-        source, env = "SOMBOR_CAP", os.environ.get("SOMBOR_CAP")
-        if env is None:
-            return None
-        try:
-            cap = int(env)
-        except ValueError:
-            raise _InputError(f"SOMBOR_CAP must be an integer, got {env!r}") from None
-    if cap < 1:
-        raise _InputError(f"{source} must be at least 1, got {cap}")
-    return cap
+    """--cap, else None: no cap, so the oracle is exact.  A cap bounds the
+    skeleton placements the oracle scores per sequence."""
+    if args.cap is not None and args.cap < 1:
+        raise _InputError(f"--cap must be at least 1, got {args.cap}")
+    return args.cap
 
 
 def _parse_degrees(text: str):

@@ -97,7 +97,10 @@ class Tree:
 
     @classmethod
     def from_json(cls, text: str) -> "Tree":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:  # json recurses once per nesting level
+            raise InvalidTreeError("JSON nested too deeply") from None
         if not isinstance(data, dict) or not _is_int(data.get("n")):
             raise InvalidTreeError('expected an object with an integer "n"')
         edges = data.get("edges")
@@ -190,16 +193,17 @@ def edge_weight(x: int, y: int) -> float:
     return math.sqrt(x * x + y * y)
 
 
-def weight_table(degrees) -> dict[tuple[int, int], float]:
-    """edge_weight for every ordered pair of the distinct degrees.
+def weight_table(degrees) -> dict[int, dict[int, float]]:
+    """edge_weight for every ordered pair of the distinct degrees, one row
+    per degree: W[x][y] is the weight of an edge between degrees x and y.
 
     The one source of edge weights: sombor_index sums its entries, and the
     oracle's skeleton scan, the 2-swap scan and the annealer read the same
     table, so their sums agree with sombor_index bit for bit.  Degree 0
-    (a lone vertex) ends no edge and gets no entry.
+    (a lone vertex) ends no edge and gets an empty row.
     """
-    vals = set(degrees) - {0}
-    return {(x, y): edge_weight(x, y) for x in vals for y in vals}
+    vals = set(degrees)
+    return {x: {y: edge_weight(x, y) for y in vals if x and y} for x in vals}
 
 
 def exceeds(x: float, ref: float) -> bool:
@@ -218,7 +222,7 @@ def sombor_index(t: Tree) -> float:
     """
     deg = t.degrees()
     W = weight_table(deg)
-    return math.fsum(W[deg[u], deg[v]] for u, v in t.edges())
+    return math.fsum(W[deg[u]][deg[v]] for u, v in t.edges())
 
 
 def leaf_layer_profile(t: Tree) -> LeafLayerProfile:

@@ -15,9 +15,9 @@ a violation.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
@@ -30,7 +30,6 @@ from sombortree.graph import (
     canonical_form,
     exceeds,
     leaf_layer_profile,
-    leaf_to_leaf_paths,
     sombor_index,
     weight_table,
 )
@@ -159,20 +158,6 @@ class OracleResult:
     capped: bool
     witness_trees: tuple[Tree, ...] = ()  # one representative per code
 
-    def to_dict(self) -> dict:
-        return {
-            "max_so": self.max_so,
-            "enumerated": self.enumerated,
-            "capped": self.capped,
-            "witnesses": [
-                {"code": c, "tree": json.loads(t.to_json())}
-                for c, t in zip(self.witnesses, self.witness_trees)
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def _skeleton_scan(d: DegreeSequence):
     """Score every tree realizing d as (so, (parent, s, degrees)).
@@ -203,9 +188,9 @@ def _skeleton_scan(d: DegreeSequence):
         deg = sorted(need)
         while True:
             if all(x >= y for x, y in zip(deg, s)):
-                terms = [W[deg[v], deg[parent[v]]] for v in range(1, m)]
+                terms = [W[deg[v]][deg[parent[v]]] for v in range(1, m)]
                 for v in range(m):
-                    terms += [W[deg[v], 1]] * (deg[v] - s[v])
+                    terms += [W[deg[v]][1]] * (deg[v] - s[v])
                 yield math.fsum(terms), (parent, s, tuple(deg))
             if not _next_permutation(deg):
                 break
@@ -252,7 +237,8 @@ def oracle_max(d: DegreeSequence, cap: int | None = None) -> OracleResult:
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     scan = _skeleton_scan(d)
-    best, wits = _maximizers(islice(scan, cap))
+    # cap is None or >= 1 here; no scan reaches sys.maxsize, islice's limit
+    best, wits = _maximizers(islice(scan, cap and min(cap, sys.maxsize)))
     capped = cap is not None and next(scan, None) is not None
     codes = sorted(wits)
     return OracleResult(
@@ -281,11 +267,8 @@ class SwapMove:
     recombination: int
 
     def new_edges(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return _recombine(*self.edge_a, *self.edge_b, self.recombination)
-
-
-def _recombine(a, b, c, d, r):
-    return ((a, c), (b, d)) if r == 0 else ((a, d), (b, c))
+        (a, b), (c, d) = self.edge_a, self.edge_b
+        return ((a, c), (b, d)) if self.recombination == 0 else ((a, d), (b, c))
 
 
 def _valid_recombination(parent, a: int, b: int, c: int, d: int):
@@ -361,18 +344,9 @@ def _delta(W, deg, old1, old2, new1, new2) -> float:
     degree untouched: only those four edge weights move."""
     (a, b), (c, d), (p, q), (r, s) = old1, old2, new1, new2
     return (
-        W[deg[p], deg[q]] + W[deg[r], deg[s]]
-        - W[deg[a], deg[b]] - W[deg[c], deg[d]]
+        W[deg[p]][deg[q]] + W[deg[r]][deg[s]]
+        - W[deg[a]][deg[b]] - W[deg[c]][deg[d]]
     )
-
-
-def _weight_rows(deg) -> list[dict[int, float]]:
-    """weight_table as one row per vertex: rows[u][deg[v]] is
-    W[deg[u], deg[v]], the same floats, read without a tuple key."""
-    rows = {x: {} for x in deg}
-    for (x, y), w in weight_table(deg).items():
-        rows[x][y] = w
-    return [rows[x] for x in deg]
 
 
 def swap_delta(t: Tree, move: SwapMove) -> float:
@@ -407,7 +381,7 @@ def is_local_max(t: Tree) -> LocalMaxReport:
     """True iff no 2-swap gives a Sombor value that exceeds t's.
 
     One loop over the edge pairs i < j of t.edges(), in order, reading
-    edge weights from per-vertex rows of weight_table.  For each disjoint
+    edge weights from the rows of weight_table.  For each disjoint
     pair (a,b), (c,d) it computes the deltas of both recombinations, d0
     for (a,c),(b,d) and d1 for (a,d),(b,c), in _delta's operand order.
     When both are at most the best delta so far, neither can become the
@@ -419,14 +393,14 @@ def is_local_max(t: Tree) -> LocalMaxReport:
     """
     base = sombor_index(t)
     deg = t.degrees()
-    wrow = _weight_rows(deg)
+    W = weight_table(deg)
     parent = _bfs(t.adj, 0)[1]
     # per edge: its ends, their degrees and its weight
-    ends = [(c, d, deg[c], deg[d], wrow[c][deg[d]]) for c, d in t.edges()]
+    ends = [(c, d, deg[c], deg[d], W[deg[c]][deg[d]]) for c, d in t.edges()]
     best_move = None
     best_delta = 0.0
-    for i, (a, b, _, _, wab) in enumerate(ends):
-        wa, wb = wrow[a], wrow[b]
+    for i, (a, b, da, db, wab) in enumerate(ends):
+        wa, wb = W[da], W[db]
         for c, d, dc, dd, wcd in ends[i + 1 :]:
             if a == c or a == d or b == c or b == d:
                 continue
@@ -504,7 +478,7 @@ def _record_fields(degrees, i: int, li: int, ri: int, hi: int, lo: int) -> dict:
 
 @dataclass(frozen=True)
 class Theorem1Report:
-    """Theorem-1 counts; ``violating`` and ``records`` are built on first read."""
+    """Theorem-1 counts; ``violating`` is built on first read."""
 
     tree: Tree = field(repr=False, compare=False)
     paths: int
@@ -534,18 +508,6 @@ class Theorem1Report:
                     violating += [PathInequalityRecord(path=path, **f) for f in hit[1]]
         return tuple(violating)
 
-    @functools.cached_property
-    def records(self) -> tuple[PathInequalityRecord, ...]:
-        """Every inequality, holding or not; built from the tree on first read."""
-        pairs_for = functools.cache(_path_pairs)
-        return tuple(
-            PathInequalityRecord(
-                path=path.vertices, **_record_fields(path.degrees, *pair)
-            )
-            for path in leaf_to_leaf_paths(self.tree)
-            for pair in pairs_for(len(path.vertices) - 2)
-        )
-
     def to_dict(self) -> dict:
         return {
             "paths": self.paths,
@@ -553,9 +515,6 @@ class Theorem1Report:
             "violations": self.violations,
             "records": [r.to_dict() for r in self.violating],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def check_theorem1(t: Tree) -> Theorem1Report:
@@ -573,8 +532,7 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     lower-id leaf starts its path.  The counts need no record: each table's
     length, and each ordered support pair's violations, count once per leaf
     pair on that support pair (lower-id leaf first).  ``violating`` is built
-    from the report's ``table`` of those violations on first read, and
-    ``records`` (every inequality) from the tree.
+    from the report's ``table`` of those violations on first read.
     """
     leaves = t.leaves()
     paths = len(leaves) * (len(leaves) - 1) // 2
@@ -707,7 +665,7 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
 
     n = start.n
     deg = start.degrees()
-    wrow = _weight_rows(deg)
+    W = weight_table(deg)
     edges = start.edges()
     parent = _bfs(start.adj, 0)[1]
     ne = len(edges)
@@ -759,8 +717,8 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
         tries = 0
         p, q = (c, d) if r == 0 else (d, c)  # new edges (a, p), (b, q)
         delta = (
-            wrow[a][deg[p]] + wrow[b][deg[q]]
-            - wrow[a][deg[b]] - wrow[c][deg[d]]
+            W[deg[a]][deg[p]] + W[deg[b]][deg[q]]
+            - W[deg[a]][deg[b]] - W[deg[c]][deg[d]]
         )
         if deltas is not None:
             deltas.append(abs(delta))
