@@ -67,8 +67,8 @@ def test_verify_capped_exits_2(capsys):
     assert json.loads(capsys.readouterr().out)["capped"] is True
 
 
-def test_sombor_cap_env_is_ignored(capsys, monkeypatch):
-    # the cap comes from --cap alone; the environment does not set it
+def test_verify_cap_env_override(capsys, monkeypatch):
+    # SOMBOR_CAP no longer overrides anything: the cap comes from --cap alone
     monkeypatch.setenv("SOMBOR_CAP", "2")
     assert run(["verify", "--degrees", "3,2,2"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -102,6 +102,24 @@ def test_cap_below_one_exit_1(capsys, tmp_path, argv):
     assert out.out == ""
     assert out.err.count("\n") == 1 and "--cap must be at least 1" in out.err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cap_env_below_one_exit_1(capsys, monkeypatch, tmp_path, command):
+    # SOMBOR_CAP=0 neither trips the range check nor hides --cap's
+    monkeypatch.setenv("SOMBOR_CAP", "0")
+    out_csv = tmp_path / "r.csv"
+    argv = {
+        "verify": ["verify", "--degrees", "3,2,2"],
+        "sweep": ["sweep", "--max-n", "5", "--out", str(out_csv)],
+    }[command]
+    assert run(argv + ["--cap", "0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and "--cap must be at least 1" in out.err
+    assert not out_csv.exists()
+    assert run(argv) == 0
+    assert not json.loads(capsys.readouterr().out)["capped"]
 
 
 @pytest.mark.parametrize(

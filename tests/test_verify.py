@@ -291,10 +291,6 @@ def test_oracle_capped_flag():
     res = oracle_max(validate([3, 2, 2]), cap=2)
     assert res.capped
     assert res.enumerated == 2
-    # uncapped, enumerated is the labeled count and witnesses carry trees
-    exact = oracle_max(validate([3, 2, 2]))
-    assert exact.enumerated == 12 and exact.capped is False
-    assert exact.witness_trees[0].n == 6
 
 
 def test_oracle_single_edge():
@@ -305,6 +301,17 @@ def test_oracle_single_edge():
     assert not capped.capped and capped.enumerated == 1
     assert capped.max_so == math.sqrt(2)
     assert capped.witnesses == res.witnesses
+
+
+def test_oracle_json_embeds_witness_trees():
+    # the witness JSON that `sombor sweep --witness-dir` writes is the
+    # tree's own to_json; it round-trips to the witness's canonical form
+    res = oracle_max(validate([3, 2, 2]))
+    assert res.enumerated == 12 and res.capped is False
+    data = json.loads(res.witness_trees[0].to_json())
+    assert data["n"] == 6
+    tree = Tree.from_json(res.witness_trees[0].to_json())
+    assert canonical_form(tree) == res.witnesses[0]
 
 
 @given(random_trees(max_n=8))
