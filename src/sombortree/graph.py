@@ -93,7 +93,10 @@ class Tree:
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps({"n": self.n, "edges": [[u, v] for u, v in self.edges()]})
+        """The bytes of json.dumps({"n": n, "edges": [[u, v], ...]}) over
+        edges(), written straight from adj."""
+        edges = ", ".join([f"[{u}, {v}]" for u, ns in enumerate(self.adj) for v in ns if u < v])
+        return f'{{"n": {self.n}, "edges": [{edges}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "Tree":

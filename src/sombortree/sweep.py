@@ -81,7 +81,10 @@ def _partitions(total: int, m: int, maxpart: int):
 def evaluate_sequence(d: DegreeSequence, cap: int | None = None) -> tuple:
     """One sweep row plus the witness trees behind it.
 
-    Without a cap the oracle is exact; see verify.oracle_max.
+    Without a cap the oracle is exact; see verify.oracle_max.  The row's
+    ``enumerated`` is the oracle's, whose unit follows ``capped``: on an
+    exact row the labeled trees realizing d (prufer_space_size), on a
+    capped row the skeleton placements scored, which is the cap.
     """
     constructed = construct_max_tree(d)
     c_so = sombor_index(constructed)

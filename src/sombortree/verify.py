@@ -3,13 +3,16 @@
 Exact maximum by a scan over free skeleton trees (the trees left after
 deleting the leaves, one per isomorphism class) with every placement of
 the degrees on them, deduplicated by canonical form; an explicit cap
-bounds the placements scored.  Also degree-preserving 2-swap local search
-(one swap-validity test on a parent array rooted at vertex 0, reached
-only by pairs whose deltas could beat the best), path-inequality and
-attachment-site checkers, and a seeded simulated annealer for instances
-beyond exhaustive reach.  The path-inequality check tests each pair of
-leaf supports once, counts every inequality and builds a record only for
-a violation.
+bounds the placements scored.  Also degree-preserving 2-swap local search,
+path-inequality and attachment-site checkers, and a seeded simulated
+annealer for instances beyond exhaustive reach.  Both local checks work
+by degree class: the 2-swap scan computes each delta once per pair of
+edge classes (the end degrees of an edge) and runs its one validity test,
+on a parent array rooted at vertex 0, only on pairs from class pairs
+whose delta could beat the best; the path-inequality check walks the
+internal vertices once per leaf support, tests each degree pattern along
+a path between supports once, counts every inequality and builds a
+record only for a violation.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import functools
 import math
 import random
 import sys
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
@@ -380,41 +384,57 @@ class LocalMaxReport:
 def is_local_max(t: Tree) -> LocalMaxReport:
     """True iff no 2-swap gives a Sombor value that exceeds t's.
 
-    One loop over the edge pairs i < j of t.edges(), in order, reading
-    edge weights from the rows of weight_table.  For each disjoint
-    pair (a,b), (c,d) it computes the deltas of both recombinations, d0
-    for (a,c),(b,d) and d1 for (a,d),(b,c), in _delta's operand order.
-    When both are at most the best delta so far, neither can become the
-    best whichever one is valid, so the pair is skipped; only the others
-    go to the validity test (_valid_recombination), and a SwapMove is
-    built only for a strictly better delta.  The reported move is thus
-    the first best one in two_swap_neighbors order, as a scan of every
-    move with swap_delta would find.
+    A swap's delta depends only on the degrees of its four ends, so the
+    edges (a,b), a < b, of t.edges() are grouped into classes by
+    (d(a), d(b)).  For each ordered pair of classes, P edge first as in
+    two_swap_neighbors, the deltas of both recombinations, d0 for
+    (a,c),(b,d) and d1 for (a,d),(b,c), are computed once in _delta's
+    operand order (the two orders of a class pair sum the same weights
+    in a different order, so their floats may differ).  Class pairs are
+    taken by their larger delta, highest first, and the scan stops at
+    the first one below the best valid delta so far (0.0 at the start):
+    no pair from it or a later one can reach the best.  Only pairs from
+    the class pairs before it get the disjointness check and the
+    validity test (_valid_recombination).  The reported move is the
+    first pair (i, j) in edge order whose valid delta is the largest,
+    as a scan of every move of two_swap_neighbors with swap_delta finds.
     """
     base = sombor_index(t)
     deg = t.degrees()
     W = weight_table(deg)
-    parent = _bfs(t.adj, 0)[1]
-    # per edge: its ends, their degrees and its weight
-    ends = [(c, d, deg[c], deg[d], W[deg[c]][deg[d]]) for c, d in t.edges()]
-    best_move = None
-    best_delta = 0.0
-    for i, (a, b, da, db, wab) in enumerate(ends):
-        wa, wb = W[da], W[db]
-        for c, d, dc, dd, wcd in ends[i + 1 :]:
-            if a == c or a == d or b == c or b == d:
-                continue
-            d0 = wa[dc] + wb[dd] - wab - wcd
-            d1 = wa[dd] + wb[dc] - wab - wcd
-            if d0 <= best_delta and d1 <= best_delta:
-                continue
-            r = _valid_recombination(parent, a, b, c, d)[0]
-            delta = d1 if r else d0
-            if delta > best_delta:
-                best_delta = delta
-                best_move = SwapMove((a, b), (c, d), r)
-    if exceeds(base + best_delta, base):
-        return LocalMaxReport(False, base, best_move, best_delta)
+    edges = t.edges()
+    classes: dict[tuple[int, int], list[int]] = {}  # degrees -> edge indices
+    for i, (a, b) in enumerate(edges):
+        classes.setdefault((deg[a], deg[b]), []).append(i)
+    candidates = []  # (larger delta, d0, d1, P, Q) for an improving class pair
+    for (x, y), P in classes.items():
+        wx, wy, wp = W[x], W[y], W[x][y]
+        for (u, v), Q in classes.items():
+            d0 = wx[u] + wy[v] - wp - W[u][v]
+            d1 = wx[v] + wy[u] - wp - W[u][v]
+            if d0 > 0.0 or d1 > 0.0:
+                candidates.append((max(d0, d1), d0, d1, P, Q))
+    candidates.sort(key=lambda c: c[0], reverse=True)
+    parent = _bfs(t.adj, 0)[1] if candidates else None
+    best_delta, best = 0.0, None  # best: (i, j, r) of the best valid swap
+    for top, d0, d1, P, Q in candidates:
+        if top < best_delta:
+            break
+        for i in P:
+            a, b = edges[i]
+            for j in Q[bisect_right(Q, i) :]:
+                c, d = edges[j]
+                if a == c or a == d or b == c or b == d:
+                    continue
+                r = _valid_recombination(parent, a, b, c, d)[0]
+                delta = d1 if r else d0
+                if delta > best_delta or (
+                    delta == best_delta and best is not None and (i, j) < best[:2]
+                ):
+                    best_delta, best = delta, (i, j, r)
+    if exceeds(base + best_delta, base):  # so best_delta > 0.0: best is set
+        i, j, r = best
+        return LocalMaxReport(False, base, SwapMove(edges[i], edges[j], r), best_delta)
     return LocalMaxReport(True, base, None, best_delta)
 
 
@@ -526,13 +546,18 @@ def check_theorem1(t: Tree) -> Theorem1Report:
 
     Only interior degrees enter the inequalities, and for n > 2 the
     interior of the path from leaf a to leaf b is the path from a's
-    support (its one neighbour) to b's.  So the inequalities are tested,
-    with int comparisons, once per ordered pair of support vertices, by
-    one BFS from each support; both orientations are tested, since the
-    lower-id leaf starts its path.  The counts need no record: each table's
-    length, and each ordered support pair's violations, count once per leaf
-    pair on that support pair (lower-id leaf first).  ``violating`` is built
-    from the report's ``table`` of those violations on first read.
+    support (its one neighbour) to b's.  So the inequalities are tested
+    once per ordered pair of support vertices, by one BFS from each
+    support over the internal vertices only, which hold every support and
+    every path between two; both orientations are tested, since the
+    lower-id leaf starts its path.  Which inequalities fail depends only
+    on the degrees along the path, read from its start, so the violated
+    entries are computed once per such degree tuple and shared, read
+    only, by the table entries of every path that has it.  The counts need
+    no record: each table's length, and each ordered support pair's
+    violations, count once per leaf pair on that support pair (lower-id
+    leaf first).  ``violating`` is built from the report's ``table`` of
+    those violations on first read.
     """
     leaves = t.leaves()
     paths = len(leaves) * (len(leaves) - 1) // 2
@@ -541,21 +566,26 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     deg = t.degrees()
     support = [t.adj[a][0] for a in leaves]
     count = list(Counter(support).items())  # (support, its leaf count)
+    skeleton = [[u for u in ns if deg[u] > 1] if len(ns) > 1 else () for ns in t.adj]
     pairs_for = functools.cache(_path_pairs)
+    hits_for = {}  # degrees along a support path, from its start -> violated entries
     checked = 0
     table = {}  # s -> {u: (support path s..u, its violated entries)}
     for x, (s, cs) in enumerate(count):
-        parent = _bfs(t.adj, s)[1]
+        parent = _bfs(skeleton, s)[1]
         for u, cu in count[x:]:
             inner = [u]
             while inner[-1] != s:
                 inner.append(parent[inner[-1]])
             pairs = pairs_for(len(inner))
             checked += (cs * (cs - 1) // 2 if s == u else cs * cu) * len(pairs)
+            along = tuple([deg[v] for v in inner])
             # both orientations: from u to s, then from s to u
-            for a, b, path in ((u, s, inner), (s, u, inner[::-1])):
-                degs = [1] + [deg[v] for v in path]
-                hits = [e for e in pairs if degs[e[3]] < degs[e[4]]]
+            for a, b, path, key in ((u, s, inner, along), (s, u, inner[::-1], along[::-1])):
+                hits = hits_for.get(key)
+                if hits is None:
+                    degs = (1, *key)
+                    hits = hits_for[key] = [e for e in pairs if degs[e[3]] < degs[e[4]]]
                 if hits:
                     table.setdefault(a, {})[b] = (tuple(path), hits)
     violations, later = 0, Counter()  # the supports of the leaves after this one

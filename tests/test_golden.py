@@ -104,9 +104,14 @@ def test_check_cli_output_every_sequence_to_n14(capsys):
     assert sha(text) == "538d6fcf8e8ac2036c1d5064fcea93901243ae447d663fbb1a41ca833207555c"
 
 
+# `sombor check` stdout on 150 degrees drawn by random.Random(7) from 3..5
+# (CI compares it through the installed console script too).
+CHECK_M150 = "0cf48995a9406a14362bc8fa13962e33ee507499f9c94adb2380a9430e554dbe"
+
+
 def test_check_cli_output_m150(capsys):
     # no timer: 45,150 paths and 1,409,010 inequalities, 22,216 violated
     rng = random.Random(7)
     degrees = [rng.randint(3, 5) for _ in range(150)]
     out = check_stdout(degrees, capsys)
-    assert sha(out) == "0cf48995a9406a14362bc8fa13962e33ee507499f9c94adb2380a9430e554dbe"
+    assert sha(out) == CHECK_M150

@@ -1,7 +1,8 @@
+import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sombortree.graph import (
@@ -66,6 +67,16 @@ def test_tree_rejects_disconnected():
 def test_tree_json_roundtrip():
     t = star_tree(5)
     assert Tree.from_json(t.to_json()).edges() == t.edges()
+
+
+@given(random_trees(max_n=40))
+@example(Tree.from_edges(1, []))
+@example(Tree.from_edges(2, [(0, 1)]))
+@settings(max_examples=200, deadline=None)
+def test_tree_json_matches_json_dumps(t):
+    # to_json writes the string itself; these are the bytes it must match
+    edges = [[u, v] for u, v in t.edges()]
+    assert t.to_json() == json.dumps({"n": t.n, "edges": edges})
 
 
 def test_tree_dot_and_edge_list():

@@ -90,3 +90,13 @@ def test_record_gap_invariant():
         assert record.gap >= -1e-9 * record.oracle_so
         if record.optimal:
             assert record.local_max
+
+
+def test_enumerated_counts_labeled_trees_or_scored_placements():
+    # 3,2,2 has 12 labeled trees on 3 skeleton placements: an exact row
+    # counts the trees, a capped row the placements scored (the cap)
+    d = validate([3, 2, 2])
+    capped, _, _ = evaluate_sequence(d, cap=2)
+    exact, _, _ = evaluate_sequence(d)
+    assert (capped.capped, capped.enumerated) == (True, 2)
+    assert (exact.capped, exact.enumerated) == (False, 12)

@@ -517,6 +517,39 @@ def test_seeded_random_trees_are_mostly_not_local_maxima():
     assert sum(not r.is_local_max for r in reports) > len(reports) // 2
 
 
+def test_class_pairs_limit_validity_tests_m150(monkeypatch):
+    # the m = 150 list of test_golden.py::test_check_cli_output_m150
+    rng = random.Random(7)
+    t = construct_max_tree(validate([rng.randint(3, 5) for _ in range(150)]))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _valid_recombination(*args)
+
+    monkeypatch.setattr(verify, "_valid_recombination", counted)
+    report = is_local_max(t)
+    monkeypatch.undo()
+    deg = t.degrees()
+    W = weight_table(deg)
+    edges = t.edges()
+    disjoint = positive = 0
+    for i, (a, b) in enumerate(edges):
+        for c, d in edges[i + 1 :]:
+            if len({a, b, c, d}) < 4:
+                continue
+            disjoint += 1
+            old = (a, b), (c, d)
+            positive += max(
+                _delta(W, deg, *old, (a, c), (b, d)), _delta(W, deg, *old, (a, d), (b, c))
+            ) > 0.0
+    # a pair is tested only when its class pair has a positive delta
+    assert 0 < len(calls) <= positive
+    assert 5 * len(calls) < disjoint
+    assert report == assert_local_max_matches_reference(t)
+    assert report.is_local_max
+
+
 # -- Theorem 1 reporter ------------------------------------------------------
 
 
@@ -645,12 +678,25 @@ SUPPORT_CASES = {
         {0: [5, 8, 11, 14], 2: [6, 9, 12, 15], 4: [7, 10, 13, 16]},
     ),
     "oriented_pair": ORIENTED,
+    # spine 0..4 with degrees 3,2,4,2,3 and supports 0, 2, 4 (in leaf order):
+    # the support path 0,1,2 reads 3,2,4 from 0 (the second orientation of
+    # its pair) and so does 4,3,2 from 4 (the first orientation of its pair),
+    # while 0..4 reads 3,2,4,2,3 both ways
+    "shared_tuple_both_ways": _leaves_on(
+        11, [(i, i + 1) for i in range(4)], {0: [5, 8], 2: [6, 9], 4: [7, 10]}
+    ),
+    # spine 0..3 with degrees 3,4,3,4: the palindromes 3,4,3 and 4,3,4 side
+    # by side, and 3,4,3,4 whose reverse differs
+    "palindromes": _leaves_on(
+        12, [(0, 1), (1, 2), (2, 3)], {0: [4, 8], 1: [5, 9], 2: [6], 3: [7, 10, 11]}
+    ),
 }
 
 
 @pytest.mark.parametrize("name", SUPPORT_CASES)
 def test_support_grouping_matches_reference(name):
     assert_theorem1_matches_reference(SUPPORT_CASES[name])
+    assert_counts_need_no_records(SUPPORT_CASES[name])
 
 
 def test_support_pair_orientations_differ():
