@@ -6,13 +6,11 @@ the degrees on them, deduplicated by canonical form; an explicit cap
 bounds the placements scored.  Also degree-preserving 2-swap local search,
 path-inequality and attachment-site checkers, and a seeded simulated
 annealer for instances beyond exhaustive reach.  Both local checks work
-by degree class: the 2-swap scan computes each delta once per pair of
-edge classes (the end degrees of an edge) and runs its one validity test,
-on a parent array rooted at vertex 0, only on pairs from class pairs
-whose delta could beat the best; the path-inequality check walks the
-internal vertices once per leaf support, tests each degree pattern along
-a path between supports once, counts every inequality and builds a
-record only for a violation.
+by degree class: the 2-swap scan scores each pair of edge classes once
+and tests validity, O(1) on preorder intervals, only within class pairs
+that could beat the best; the path-inequality check scores each degree
+pattern between two leaf supports once, keeps only violated entries and
+walks a path again only when its records are read.
 """
 
 from __future__ import annotations
@@ -365,6 +363,7 @@ class LocalMaxReport:
     base_so: float
     best_move: SwapMove | None
     best_delta: float
+    validity_tests: int = field(default=0, compare=False)  # disjoint pairs tested
 
     def to_dict(self) -> dict:
         out = {
@@ -381,6 +380,23 @@ class LocalMaxReport:
         return out
 
 
+def _edge_intervals(t: Tree, edges) -> list[tuple[int, int, int, int, bool]]:
+    """(a, b, pre, end, x == a) per edge (a, b), x its child end in t rooted
+    at 0: x's subtree holds the preorder numbers pre..end-1.  One BFS."""
+    order, parent = _bfs(t.adj, 0)
+    size, pre = [1] * t.n, [0] * t.n
+    for v in order[:0:-1]:
+        size[parent[v]] += size[v]
+    for v in order:  # v's children get blocks the size of their subtrees
+        nxt, p = pre[v] + 1, parent[v]
+        for u in t.adj[v]:
+            if u != p:
+                pre[u] = nxt
+                nxt += size[u]
+    xs = [a if parent[a] == b else b for a, b in edges]
+    return [(a, b, pre[x], pre[x] + size[x], x == a) for (a, b), x in zip(edges, xs)]
+
+
 def is_local_max(t: Tree) -> LocalMaxReport:
     """True iff no 2-swap gives a Sombor value that exceeds t's.
 
@@ -393,16 +409,17 @@ def is_local_max(t: Tree) -> LocalMaxReport:
     in a different order, so their floats may differ).  Class pairs are
     taken by their larger delta, highest first, and the scan stops at
     the first one below the best valid delta so far (0.0 at the start):
-    no pair from it or a later one can reach the best.  Only pairs from
-    the class pairs before it get the disjointness check and the
-    validity test (_valid_recombination).  The reported move is the
-    first pair (i, j) in edge order whose valid delta is the largest,
-    as a scan of every move of two_swap_neighbors with swap_delta finds.
+    no later pair can reach the best.  Pairs from the class pairs before
+    it are tested: disjoint, then r = [a = x] = [c = y] for the child ends
+    x, y, negated when the preorder interval of one holds the other
+    (_edge_intervals), as _valid_recombination's walk finds.  The move is
+    the first (i, j) in edge order with the largest valid delta, as a scan
+    of every move of two_swap_neighbors with swap_delta finds.
     """
-    base = sombor_index(t)
     deg = t.degrees()
     W = weight_table(deg)
     edges = t.edges()
+    base = math.fsum([W[deg[a]][deg[b]] for a, b in edges])  # sombor_index(t)
     classes: dict[tuple[int, int], list[int]] = {}  # degrees -> edge indices
     for i, (a, b) in enumerate(edges):
         classes.setdefault((deg[a], deg[b]), []).append(i)
@@ -415,18 +432,19 @@ def is_local_max(t: Tree) -> LocalMaxReport:
             if d0 > 0.0 or d1 > 0.0:
                 candidates.append((max(d0, d1), d0, d1, P, Q))
     candidates.sort(key=lambda c: c[0], reverse=True)
-    parent = _bfs(t.adj, 0)[1] if candidates else None
-    best_delta, best = 0.0, None  # best: (i, j, r) of the best valid swap
+    spans = _edge_intervals(t, edges) if candidates else None
+    best_delta, best, tested = 0.0, None, 0  # best: (i, j, r) of the best valid swap
     for top, d0, d1, P, Q in candidates:
         if top < best_delta:
             break
         for i in P:
-            a, b = edges[i]
+            a, b, pa, ea, fa = spans[i]
             for j in Q[bisect_right(Q, i) :]:
-                c, d = edges[j]
+                c, d, pc, ec, fc = spans[j]
                 if a == c or a == d or b == c or b == d:
                     continue
-                r = _valid_recombination(parent, a, b, c, d)[0]
+                tested += 1
+                r = (fa == fc) != (pa <= pc < ea or pc <= pa < ec)
                 delta = d1 if r else d0
                 if delta > best_delta or (
                     delta == best_delta and best is not None and (i, j) < best[:2]
@@ -434,8 +452,9 @@ def is_local_max(t: Tree) -> LocalMaxReport:
                     best_delta, best = delta, (i, j, r)
     if exceeds(base + best_delta, base):  # so best_delta > 0.0: best is set
         i, j, r = best
-        return LocalMaxReport(False, base, SwapMove(edges[i], edges[j], r), best_delta)
-    return LocalMaxReport(True, base, None, best_delta)
+        move = SwapMove(edges[i], edges[j], int(r))
+        return LocalMaxReport(False, base, move, best_delta, tested)
+    return LocalMaxReport(True, base, None, best_delta, tested)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +481,11 @@ class PathInequalityRecord:
             "rhs_degree": self.rhs_degree,
             "holds": self.holds,
         }
+
+
+def _skeleton(adj, deg):
+    """Adjacency over the internal vertices only, () for every leaf."""
+    return [[u for u in ns if deg[u] > 1] if len(ns) > 1 else () for ns in adj]
 
 
 def _path_pairs(k: int) -> tuple[tuple[int, int, int, int, int], ...]:
@@ -504,20 +528,26 @@ class Theorem1Report:
     paths: int
     checked: int
     violations: int
-    # s -> {u: (support path s..u, violated entries)}, the lower-id leaf on s
+    # s -> {u: the violated entries on support path s..u}, lower-id leaf on s
     table: dict = field(repr=False, hash=False)
 
     @functools.cached_property
     def violating(self) -> tuple[PathInequalityRecord, ...]:
-        """The violated inequalities, by leaf pair (by id), then table order."""
+        """The violated inequalities, by leaf pair (by id), then table order;
+        the support paths are walked here, one skeleton BFS per table row."""
         leaves, deg = self.tree.leaves(), self.tree.degrees()
         support = [self.tree.adj[a][0] for a in leaves]
+        skeleton = _skeleton(self.tree.adj, deg)
         fields = {}  # s -> {u: (support path s..u, its records' other fields)}
         for s, row in self.table.items():
+            parent = _bfs(skeleton, s)[1]
             out = fields[s] = {}
-            for u, (path, hits) in row.items():
-                degs = [1] + [deg[v] for v in path]
-                out[u] = (path, [_record_fields(degs, *e) for e in hits])
+            for u, hits in row.items():
+                path = [u]
+                while path[-1] != s:
+                    path.append(parent[path[-1]])
+                degs = [1] + [deg[v] for v in reversed(path)]
+                out[u] = (path[::-1], [_record_fields(degs, *e) for e in hits])
         violating = []
         for x, a in enumerate(leaves):
             if (row := fields.get(support[x])) is None:
@@ -551,13 +581,13 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     support over the internal vertices only, which hold every support and
     every path between two; both orientations are tested, since the
     lower-id leaf starts its path.  Which inequalities fail depends only
-    on the degrees along the path, read from its start, so the violated
-    entries are computed once per such degree tuple and shared, read
-    only, by the table entries of every path that has it.  The counts need
-    no record: each table's length, and each ordered support pair's
-    violations, count once per leaf pair on that support pair (lower-id
-    leaf first).  ``violating`` is built from the report's ``table`` of
-    those violations on first read.
+    on the degrees along the path, read from its start by the walk up
+    the BFS parents, so the violated entries are computed once per such
+    degree tuple and shared, read only, by the table entries of every
+    path that has it.  The table keeps only those entries, no path; the
+    counts need no record, since each ordered support pair's violations
+    count once per leaf pair on it (lower-id leaf first).  ``violating``
+    walks the paths again and builds the records on first read.
     """
     leaves = t.leaves()
     paths = len(leaves) * (len(leaves) - 1) // 2
@@ -566,31 +596,31 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     deg = t.degrees()
     support = [t.adj[a][0] for a in leaves]
     count = list(Counter(support).items())  # (support, its leaf count)
-    skeleton = [[u for u in ns if deg[u] > 1] if len(ns) > 1 else () for ns in t.adj]
+    skeleton = _skeleton(t.adj, deg)
     pairs_for = functools.cache(_path_pairs)
     hits_for = {}  # degrees along a support path, from its start -> violated entries
     checked = 0
-    table = {}  # s -> {u: (support path s..u, its violated entries)}
+    table = {}  # s -> {u: violated entries on the support path s..u}
     for x, (s, cs) in enumerate(count):
         parent = _bfs(skeleton, s)[1]
         for u, cu in count[x:]:
-            inner = [u]
-            while inner[-1] != s:
-                inner.append(parent[inner[-1]])
-            pairs = pairs_for(len(inner))
+            along, v = [deg[u]], u  # degrees from u up to s
+            while v != s:
+                v = parent[v]
+                along.append(deg[v])
+            pairs = pairs_for(len(along))
             checked += (cs * (cs - 1) // 2 if s == u else cs * cu) * len(pairs)
-            along = tuple([deg[v] for v in inner])
             # both orientations: from u to s, then from s to u
-            for a, b, path, key in ((u, s, inner, along), (s, u, inner[::-1], along[::-1])):
+            for a, b, key in ((u, s, tuple(along)), (s, u, tuple(along[::-1]))):
                 hits = hits_for.get(key)
                 if hits is None:
                     degs = (1, *key)
                     hits = hits_for[key] = [e for e in pairs if degs[e[3]] < degs[e[4]]]
                 if hits:
-                    table.setdefault(a, {})[b] = (tuple(path), hits)
+                    table.setdefault(a, {})[b] = hits
     violations, later = 0, Counter()  # the supports of the leaves after this one
     for s in reversed(support):  # from the highest leaf id down
-        violations += sum(later[u] * len(h) for u, (_, h) in table.get(s, {}).items())
+        violations += sum(later[u] * len(h) for u, h in table.get(s, {}).items())
         later[s] += 1
     return Theorem1Report(t, paths, checked, violations, table)
 

@@ -35,6 +35,7 @@ from sombortree.verify import (
     PathInequalityRecord,
     SwapMove,
     _delta,
+    _edge_intervals,
     _maximizers,
     _reroot,
     _skeleton_scan,
@@ -428,6 +429,21 @@ def test_rooted_kernel_matches_reference_over_swap_runs(t, picks):
             assert kernel == _reference_recombination(n, edges, e, f)
 
 
+@given(random_trees(min_n=4, max_n=60))
+@settings(max_examples=100, deadline=None)
+def test_interval_recombination_matches_parent_walk(t):
+    # the O(1) test of is_local_max: r = [a = x] == [c = y], flipped when
+    # one child end's preorder interval holds the other's
+    parent = _bfs(t.adj, 0)[1]
+    spans = _edge_intervals(t, t.edges())
+    for i, (a, b, pa, ea, fa) in enumerate(spans):
+        for c, d, pc, ec, fc in spans[i + 1 :]:
+            if len({a, b, c, d}) < 4:
+                continue
+            r = (fa == fc) != (pa <= pc < ea or pc <= pa < ec)
+            assert int(r) == _valid_recombination(parent, a, b, c, d)[0]
+
+
 def test_paper_tree_has_neutral_nonisomorphic_swap():
     t = construct_max_tree(validate([5, 5, 5, 4, 3, 3, 2, 2]))
     code = canonical_form(t)
@@ -517,19 +533,12 @@ def test_seeded_random_trees_are_mostly_not_local_maxima():
     assert sum(not r.is_local_max for r in reports) > len(reports) // 2
 
 
-def test_class_pairs_limit_validity_tests_m150(monkeypatch):
+def test_class_pairs_limit_validity_tests_m150():
     # the m = 150 list of test_golden.py::test_check_cli_output_m150
     rng = random.Random(7)
     t = construct_max_tree(validate([rng.randint(3, 5) for _ in range(150)]))
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _valid_recombination(*args)
-
-    monkeypatch.setattr(verify, "_valid_recombination", counted)
     report = is_local_max(t)
-    monkeypatch.undo()
+    tested = report.validity_tests
     deg = t.degrees()
     W = weight_table(deg)
     edges = t.edges()
@@ -544,8 +553,8 @@ def test_class_pairs_limit_validity_tests_m150(monkeypatch):
                 _delta(W, deg, *old, (a, c), (b, d)), _delta(W, deg, *old, (a, d), (b, c))
             ) > 0.0
     # a pair is tested only when its class pair has a positive delta
-    assert 0 < len(calls) <= positive
-    assert 5 * len(calls) < disjoint
+    assert 0 < tested <= positive
+    assert 5 * tested < disjoint
     assert report == assert_local_max_matches_reference(t)
     assert report.is_local_max
 
