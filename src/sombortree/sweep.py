@@ -6,7 +6,7 @@ import csv
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from sombortree.graph import DegreeSequence, exceeds, sombor_index
+from sombortree.graph import DegreeSequence, exceeds
 from sombortree.construct import construct_max_tree
 from sombortree.verify import check_theorem1, is_local_max, oracle_max
 
@@ -87,19 +87,19 @@ def evaluate_sequence(d: DegreeSequence, cap: int | None = None) -> tuple:
     capped row the skeleton placements scored, which is the cap.
     """
     constructed = construct_max_tree(d)
-    c_so = sombor_index(constructed)
+    local = is_local_max(constructed)  # base_so: the bits of sombor_index
     oracle = oracle_max(d, cap=cap)
-    gap = oracle.max_so - c_so
+    gap = oracle.max_so - local.base_so
     record = SweepRecord(
         degrees=str(d),
         n=d.vertex_count,
         m=d.m,
-        constructed_so=c_so,
+        constructed_so=local.base_so,
         oracle_so=oracle.max_so,
         gap=gap,
-        optimal=not exceeds(oracle.max_so, c_so),
+        optimal=not exceeds(oracle.max_so, local.base_so),
         capped=oracle.capped,
-        local_max=is_local_max(constructed).is_local_max,
+        local_max=local.is_local_max,
         theorem1_violations=check_theorem1(constructed).violations,
         enumerated=oracle.enumerated,
     )

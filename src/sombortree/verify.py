@@ -1,9 +1,10 @@
 """Independent ground truth and theorem probes.
 
 Exact maximum by a scan over free skeleton trees (the trees left after
-deleting the leaves, one per isomorphism class) with every placement of
-the degrees on them, deduplicated by canonical form; an explicit cap
-bounds the placements scored.  Also degree-preserving 2-swap local search,
+deleting the leaves, one per isomorphism class) with every admissible
+placement of the degrees on them, deduplicated by a canonical code read
+off the skeleton, a tree built only per witness; an explicit cap bounds
+the placements scored.  Also degree-preserving 2-swap local search,
 path-inequality and attachment-site checkers, and a seeded simulated
 annealer for instances beyond exhaustive reach.  Both local checks work
 by degree class: the 2-swap scan scores each pair of edge classes once
@@ -19,7 +20,7 @@ import functools
 import math
 import random
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
@@ -27,9 +28,9 @@ from math import factorial
 
 from sombortree.graph import (
     DegreeSequence,
+    InvalidTreeError,
     Tree,
     _bfs,
-    canonical_form,
     exceeds,
     leaf_layer_profile,
     sombor_index,
@@ -45,7 +46,7 @@ _SAMPLE_TRIES = 300  # draws before the annealer gives up on finding a swap
 
 
 # ---------------------------------------------------------------------------
-# Labeled count and permutations
+# Labeled count
 
 
 def prufer_space_size(d: DegreeSequence) -> int:
@@ -54,21 +55,6 @@ def prufer_space_size(d: DegreeSequence) -> int:
     for di in d.degrees:
         size //= factorial(di - 1)
     return size
-
-
-def _next_permutation(a: list[int]) -> bool:
-    """Advance a to its next lexicographic permutation in place."""
-    i = len(a) - 2
-    while i >= 0 and a[i] >= a[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = len(a) - 1
-    while a[j] <= a[i]:
-        j -= 1
-    a[i], a[j] = a[j], a[i]
-    a[i + 1 :] = a[:i:-1]
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +153,12 @@ def _skeleton_scan(d: DegreeSequence):
     Deleting the leaves of such a tree leaves a free tree S on its m
     internal vertices, and hanging d(v) - s(v) leaves on each vertex v of
     S, s(v) its degree in S, gives the tree back.  So every placement of
-    the multiset d on a free tree S with d(v) >= s(v) is scanned, and the
-    score is the fsum of the tree's edge weights, bit-identical to
-    sombor_index of the tree.  Isomorphic trees may be scored more than
-    once, through automorphisms of S.  The single edge (m = 0) is the one
-    placement of a degree-1 vertex, with its one leaf, on a lone vertex.
+    the multiset d on a free tree S with d(v) >= s(v) is walked, and no
+    other (_placements); the score is the fsum of the tree's edge weights,
+    bit-identical to sombor_index of the tree.  Isomorphic trees may be
+    scored more than once, through automorphisms of S.  The single edge
+    (m = 0) is the one placement of a degree 1, with its one leaf, on a
+    lone vertex.
     """
     m = d.m
     if m == 0:
@@ -180,6 +167,7 @@ def _skeleton_scan(d: DegreeSequence):
         return
     need = list(d.degrees)  # non-increasing
     W = weight_table(need + [1])
+    vals = sorted(set(need))
     for parent in free_trees(m):
         s = [0] * m
         for v in range(1, m):
@@ -187,41 +175,95 @@ def _skeleton_scan(d: DegreeSequence):
             s[parent[v]] += 1
         if any(x > y for x, y in zip(sorted(s, reverse=True), need)):
             continue
-        deg = sorted(need)
-        while True:
-            if all(x >= y for x, y in zip(deg, s)):
-                terms = [W[deg[v]][deg[parent[v]]] for v in range(1, m)]
-                for v in range(m):
-                    terms += [W[deg[v]][1]] * (deg[v] - s[v])
-                yield math.fsum(terms), (parent, s, tuple(deg))
-            if not _next_permutation(deg):
-                break
+        for deg in _placements(vals, [need.count(x) for x in vals], s):
+            terms = [W[deg[v]][deg[parent[v]]] for v in range(1, m)]
+            for v in range(m):
+                terms += [W[deg[v]][1]] * (deg[v] - s[v])
+            yield math.fsum(terms), (parent, s, deg)
+
+
+def _placements(vals, left, s):
+    """Every tuple deg with left[i] copies of vals[i] (ascending) and each
+    deg[v] >= s[v], in lexicographic order, by iterative backtracking: each
+    position tries the values still left, ascending from the first >= s[v]."""
+    m, k = len(s), len(vals)
+    lo = [bisect_left(vals, x) for x in s]
+    deg, nxt, v = [0] * m, lo[:], 0  # nxt[v]: the index into vals to try next at v
+    while True:
+        i = nxt[v]
+        while i < k and not left[i]:
+            i += 1
+        if i < k:
+            left[i] -= 1
+            deg[v], nxt[v] = vals[i], i + 1
+            if v + 1 < m:
+                v += 1
+                nxt[v] = lo[v]
+                continue
+            yield tuple(deg)
+        elif v:
+            v -= 1
+        else:
+            return
+        left[nxt[v] - 1] += 1  # take back the value at v
 
 
 def _hang_leaves(key) -> Tree:
-    """The tree of one skeleton placement: internal vertices 0..m-1."""
+    """The tree of one skeleton placement: internal vertices 0..m-1, then the
+    leaves hung on 0, 1, ...  Each adjacency, (parent, skeleton children, hung
+    leaves), is sorted, so the Tree is built as is once the degrees sum to
+    2n - 2 and a walk from 0 reaches all n vertices (else InvalidTreeError)."""
+    parent, s, deg = key
+    adj = [[parent[v]] if v else [] for v in range(len(deg))]
+    for v in range(1, len(deg)):
+        adj[parent[v]].append(v)
+    for v, k in enumerate(x - y for x, y in zip(deg, s)):
+        adj[v] += range(len(adj), len(adj) + k)
+        adj += [(v,)] * k
+    n = len(adj)
+    if sum(map(len, adj)) != 2 * n - 2 or len(_bfs(adj, 0)[0]) != n:
+        raise InvalidTreeError(f"the placement on {n} vertices is not a tree")
+    return Tree(n, tuple(map(tuple, adj)))
+
+
+def _placement_code(key) -> str:
+    """canonical_form(_hang_leaves(key)), read off the skeleton: every
+    skeleton leaf carries a hung leaf, so the tree's centers are vertex 0,
+    where free_trees roots the skeleton, and, when one branch at 0 is taller
+    than all others, its root.  AHU codes are built bottom-up over parent,
+    hung leaves' "()" last: skeleton children's codes start "((" and sort first."""
     parent, s, deg = key
     m = len(deg)
-    hung = [v for v in range(m) for _ in range(deg[v] - s[v])]
-    edges = [(parent[v], v) for v in range(1, m)]
-    edges += [(v, m + i) for i, v in enumerate(hung)]
-    return Tree.from_edges(m + len(hung), edges)
+    kids, code, height = [[] for _ in range(m)], [""] * m, [0] * m  # kids: child codes
+
+    def close(v, extra=()):
+        return "(" + "".join(sorted([*kids[v], *extra])) + "()" * (deg[v] - s[v]) + ")"
+
+    for v in range(m - 1, 0, -1):
+        code[v] = close(v)
+        kids[parent[v]].append(code[v])
+        height[parent[v]] = max(height[parent[v]], height[v] + 1)
+    best = close(0)
+    tall = [v for v in range(1, m) if parent[v] == 0 and height[v] + 1 == height[0]]
+    if len(tall) == 1:
+        kids[0].remove(code[tall[0]])
+        best = min(best, close(tall[0], [close(0)]))
+    return best
 
 
-def _maximizers(scored) -> tuple[float, dict[str, tuple[float, Tree]]]:
+def _maximizers(scored) -> tuple[float, dict[str, tuple[float, tuple]]]:
     """Max score and its witnesses over (so, placement) pairs: code -> (so,
-    tree) for every score the max does not exceed, one tree per canonical
-    form."""
+    placement) for every score the max does not exceed, the first placement
+    in scan order of each canonical form (_placement_code)."""
     best = 0.0  # every tree has positive Sombor value
-    wits: dict[str, tuple[float, Tree]] = {}
+    wits: dict[str, tuple[float, tuple]] = {}
     for so, key in scored:
         if exceeds(best, so):
             continue
         if so > best:
             best = so
             wits = {c: w for c, w in wits.items() if not exceeds(best, w[0])}
-        tree = _hang_leaves(key)
-        wits.setdefault(canonical_form(tree), (so, tree))
+        wits.setdefault(_placement_code(key), (so, key))
     return best, wits
 
 
@@ -229,12 +271,13 @@ def oracle_max(d: DegreeSequence, cap: int | None = None) -> OracleResult:
     """Maximum Sombor value over all trees realizing d, by the skeleton scan.
 
     Witnesses are all non-isomorphic trees whose value the max does not
-    exceed (graph.exceeds).  There is no default cap: without one, or with
-    one at or above the number of skeleton placements, every placement is
-    scored, the result is exact and ``enumerated`` is the labeled tree
-    count prufer_space_size(d).  An explicit cap bounds the placements
-    scored: when more than cap exist, only the first cap are scored,
-    ``enumerated`` is cap and the result is inconclusive (capped=True).
+    exceed (graph.exceeds), a tree built for each.  There is no default
+    cap: without one, or with one at or above the number of admissible
+    skeleton placements, every placement is scored, the result is exact and
+    ``enumerated`` is the labeled tree count prufer_space_size(d).  An
+    explicit cap bounds the placements scored: when more than cap exist,
+    only the first cap are scored, ``enumerated`` is cap and the result is
+    inconclusive (capped=True).
     """
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
@@ -248,7 +291,7 @@ def oracle_max(d: DegreeSequence, cap: int | None = None) -> OracleResult:
         enumerated=cap if capped else prufer_space_size(d),
         witnesses=tuple(codes),
         capped=capped,
-        witness_trees=tuple(wits[c][1] for c in codes),
+        witness_trees=tuple(_hang_leaves(wits[c][1]) for c in codes),
     )
 
 
@@ -597,7 +640,7 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     support = [t.adj[a][0] for a in leaves]
     count = list(Counter(support).items())  # (support, its leaf count)
     skeleton = _skeleton(t.adj, deg)
-    pairs_for = functools.cache(_path_pairs)
+    pairs_for = {}  # interior length -> _path_pairs of it, for this call only
     hits_for = {}  # degrees along a support path, from its start -> violated entries
     checked = 0
     table = {}  # s -> {u: violated entries on the support path s..u}
@@ -608,7 +651,8 @@ def check_theorem1(t: Tree) -> Theorem1Report:
             while v != s:
                 v = parent[v]
                 along.append(deg[v])
-            pairs = pairs_for(len(along))
+            if (pairs := pairs_for.get(len(along))) is None:
+                pairs = pairs_for[len(along)] = _path_pairs(len(along))
             checked += (cs * (cs - 1) // 2 if s == u else cs * cu) * len(pairs)
             # both orientations: from u to s, then from s to u
             for a, b, key in ((u, s, tuple(along)), (s, u, tuple(along[::-1]))):

@@ -7,7 +7,21 @@ instead, so the two can be checked against each other for small n.
 import heapq
 
 from sombortree.graph import DegreeSequence, Tree
-from sombortree.verify import _next_permutation
+
+
+def _next_permutation(a: list[int]) -> bool:
+    """Advance a to its next lexicographic permutation in place."""
+    i = len(a) - 2
+    while i >= 0 and a[i] >= a[i + 1]:
+        i -= 1
+    if i < 0:
+        return False
+    j = len(a) - 1
+    while a[j] <= a[i]:
+        j -= 1
+    a[i], a[j] = a[j], a[i]
+    a[i + 1 :] = a[:i:-1]
+    return True
 
 
 def prufer_to_tree(seq, n: int) -> Tree:

@@ -89,6 +89,19 @@ def test_sweep_csv_n10(tmp_path):
     assert sha(out.read_bytes()) == SWEEP_CSV_N10
 
 
+# The sweep CSV for n <= 12 (138 sequences), recorded from the oracle that
+# walked every permutation of the degrees on each skeleton, half of which
+# the placement walk skips at n = 12 (CI compares it through the installed
+# console script too).
+SWEEP_CSV_N12 = "5b5f4faf53eb0ede538b14960a814734119d619b7c8fbb150870fb93123684b7"
+
+
+def test_sweep_csv_n12(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert len(sweep(12, out_csv=out)) == 138
+    assert sha(out.read_bytes()) == SWEEP_CSV_N12
+
+
 # `sombor check` stdout (Theorem-1 counts and violating records, 2-swap
 # report) recorded before the path check counted inequalities without
 # building a record for each one.

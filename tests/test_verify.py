@@ -20,6 +20,7 @@ from sombortree.graph import (
     exceeds,
     leaf_to_leaf_paths,
     sombor_index,
+    tree_centers,
     validate,
     weight_table,
 )
@@ -36,7 +37,9 @@ from sombortree.verify import (
     SwapMove,
     _delta,
     _edge_intervals,
+    _hang_leaves,
     _maximizers,
+    _placement_code,
     _reroot,
     _skeleton_scan,
     _valid_recombination,
@@ -52,7 +55,7 @@ from sombortree.verify import (
     two_swap_neighbors,
 )
 
-from labeled import enumerate_trees, prufer_to_tree
+from labeled import _next_permutation, enumerate_trees, prufer_to_tree
 
 CATERPILLAR_322 = Tree.from_edges(6, [(0, 1), (1, 2), (0, 3), (0, 4), (2, 5)])
 SPIDER_322 = Tree.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)])
@@ -226,6 +229,93 @@ def test_capped_oracle_matches_placement_prefix():
         assert res.witnesses == tuple(sorted(wits))
         assert [canonical_form(t) for t in res.witness_trees] == sorted(wits)
     assert [len(oracle_max(d, cap=cap).witnesses) for cap in (1, 2, 6)] == [1, 2, 3]
+
+
+def reference_scan(d):
+    """_skeleton_scan as a walk over every permutation of the degrees on
+    each free tree, scoring only the admissible ones: the shape the
+    placement generator replaced."""
+    m = d.m
+    if m == 0:  # the lone edge: a degree-1 vertex with its one leaf
+        key = ((-1,), [0], (1,))
+        yield sombor_index(placement_tree(key)), key
+        return
+    need = list(d.degrees)
+    W = weight_table(need + [1])
+    for parent in free_trees(m):
+        s = [0] * m
+        for v in range(1, m):
+            s[v] += 1
+            s[parent[v]] += 1
+        deg = sorted(need)
+        while True:
+            if all(x >= y for x, y in zip(deg, s)):
+                terms = [W[deg[v]][deg[parent[v]]] for v in range(1, m)]
+                for v in range(m):
+                    terms += [W[deg[v]][1]] * (deg[v] - s[v])
+                yield math.fsum(terms), (parent, s, tuple(deg))
+            if not _next_permutation(deg):
+                break
+
+
+def placement_tree(key):
+    """The tree of a placement by Tree.from_edges: skeleton edges, then the
+    leaves hung on vertex 0, 1, ... in turn."""
+    parent, s, deg = key
+    m = len(deg)
+    edges = [(parent[v], v) for v in range(1, m)]
+    hung = [v for v in range(m) for _ in range(deg[v] - s[v])]
+    edges += [(v, m + i) for i, v in enumerate(hung)]
+    return Tree.from_edges(m + len(hung), edges)
+
+
+def sequences_to(n):
+    return [validate([])] + generate_degree_sequences(n)
+
+
+def test_skeleton_scan_matches_permutation_walk():
+    walked = 0
+    for d in sequences_to(14):
+        ref = [(so.hex(), tuple(p), list(s), tuple(g)) for so, (p, s, g) in reference_scan(d)]
+        got = [(so.hex(), tuple(p), list(s), tuple(g)) for so, (p, s, g) in _skeleton_scan(d)]
+        assert got == ref, d
+        walked += len(got)
+    assert walked == 9_732
+
+
+def test_placement_code_matches_canonical_form():
+    # every placement with n <= 14: the lone edge, m = 2, and 4,356 trees
+    # with two centers among them
+    seen, bicentral = 0, 0
+    for d in sequences_to(14):
+        for _, key in _skeleton_scan(d):
+            tree = _hang_leaves(key)
+            assert tree == placement_tree(key)
+            assert _placement_code(key) == canonical_form(tree), key
+            seen += 1
+            bicentral += len(tree_centers(tree.adj)) == 2
+    assert (seen, bicentral) == (9_732, 4_356)
+
+
+def test_placement_code_deep_skeleton():
+    # the path on 3,000 internal vertices: no recursion anywhere
+    _, key = next(_skeleton_scan(validate([2] * 3000)))
+    assert _placement_code(key) == canonical_form(_hang_leaves(key))
+
+
+def test_hang_leaves_rejects_a_placement_that_is_not_a_tree():
+    # vertices 1 and 2 point at each other, cut off from vertex 0
+    with pytest.raises(InvalidTreeError):
+        _hang_leaves(((-1, 2, 1), [0, 2, 2], (1, 2, 2)))
+
+
+def test_witness_trees_are_their_placements():
+    # each witness tree is the first placement in scan order with its code
+    for d in sequences_to(12):
+        _, wits = _maximizers(_skeleton_scan(d))
+        res = oracle_max(d)
+        for code, tree in zip(res.witnesses, res.witness_trees):
+            assert tree == placement_tree(wits[code][1])
 
 
 def test_cap_counts_skeleton_placements():
@@ -482,11 +572,14 @@ def test_spider_not_local_max():
 
 def _reference_local_max(t):
     """is_local_max as a scan of every move of two_swap_neighbors, each
-    scored by swap_delta: the shape its pruned loop replaced."""
+    scored by swap_delta's own body (_delta on one degree list and weight
+    table per tree): the shape its pruned loop replaced."""
     base = sombor_index(t)
+    deg = t.degrees()
+    W = weight_table(deg)
     best_move, best_delta = None, 0.0
     for move in two_swap_neighbors(t):
-        delta = swap_delta(t, move)
+        delta = _delta(W, deg, move.edge_a, move.edge_b, *move.new_edges())
         if delta > best_delta:
             best_move, best_delta = move, delta
     if exceeds(base + best_delta, base):
