@@ -5,16 +5,19 @@ subtrees followed by one base subtree), which are then merged back to
 front by identifying each chain root with a leaf whose neighbor has the
 minimum leaf-adjacent degree.
 
-construct_max_tree does this in one pass over one growing adjacency, in
-O(n log n): every vertex has its final degree when it is laid out, so a
-leaf's key (neighbor degree, leaf id) never changes and one heap yields
-each attachment site; one BFS then assigns the final ids and builds the
-Tree.  materialize, merge_once and attachment_site are the same steps on
-whole Trees, one merge at a time, each validated by Tree.from_edges.
+construct_max_tree does this in one pass over one growing adjacency:
+every vertex has its final degree when it is laid out, so a leaf's key
+(neighbor degree, leaf id) never changes, and per-degree FIFO queues of
+leaf runs yield each attachment site, with no heap of leaves; the layout
+already stores each vertex's children in final order, so one BFS over the
+internal vertices assigns the final ids and builds the Tree, with no sort.
+materialize, merge_once and attachment_site are the same steps on whole
+Trees, one merge at a time, each validated by Tree.from_edges.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -149,49 +152,87 @@ def merge_at(t: Tree, s: RootedSubtree, leaf: int) -> Tree:
 
 def construct_max_tree(d: DegreeSequence) -> Tree:
     """Lay out the base, then each chain back to front at the attachment
-    site, and relabel by BFS from the base root, visiting children by
-    non-increasing degree, then id.  Ids before the relabel are those
-    materialize + merge_once give: a chain root takes the chosen leaf's id,
-    its other vertices the next free ids in materialize order.
+    site, and relabel by BFS from the base root.  Ids before the relabel
+    are those materialize + merge_once give: a chain root takes the chosen
+    leaf's id, its other vertices the next free ids in materialize order.
 
-    The BFS gives each vertex's children the next free ids, so adjacency
-    tuples come out sorted and the Tree is built as is, once the degrees sum
-    to 2n - 2 and the BFS reaches all n vertices (else InvalidTreeError).
+    A leaf's key (neighbor degree, id) is fixed once it is laid out, and
+    ids are handed out in ascending order, so the leaves of one neighbor
+    degree wait in one FIFO queue of leaf runs, already in key order: the
+    attachment site is the head of the queue of the smallest waiting degree.
+
+    The layout already stores every vertex's children in final order, by
+    non-increasing degree, then id:
+    - decompose takes chain roots from the low end of the sorted degrees
+      and children from the high end, so a chain root's degree is at most
+      any child's, and a spec root's children get lower ids than the
+      filler leaves laid out beside them;
+    - a parent's leaves share one key, so those taken as chain roots are a
+      prefix of its leaf run, taken in id order;
+    - chains are laid out by non-increasing root degree.
+    So the BFS takes children as stored, internal ones first, and walks
+    only the internal vertices.  It gives each vertex's children the next
+    free ids, so adjacency tuples come out sorted and the Tree is built as
+    is, once the degrees sum to 2n - 2 and the BFS numbers all n vertices
+    (else InvalidTreeError): a leaf stored before an internal sibling would
+    cut the walk short of that sibling's subtree.
 
     The empty sequence gives the single edge; m = 1 gives the star.
     """
     if d.m == 0:
         return Tree.from_edges(2, [(0, 1)])
-    adj: list[list[int]] = [[]]  # a non-root vertex's list starts with its parent
-    sites: list[tuple[int, int]] = []  # heap of (neighbor degree, leaf id)
+    adj: list[tuple[int, ...]] = [()]  # a non-root vertex's tuple starts with its parent
+    runs: defaultdict[int, deque[range]] = defaultdict(deque)  # key degree -> leaf runs
+    keys: list[int] = []  # heap of the key degrees with a leaf waiting
+    root = 0
     for spec in reversed(decompose(d)):
-        root = heappop(sites)[1] if sites else 0
-        k = len(spec.child_degrees)
-        kids = range(len(adj), len(adj) + k + spec.filler_leaves)
-        for c in kids:
-            adj[root].append(c)
-            adj.append([root])
-        for c in kids[k:]:
-            heappush(sites, (spec.root_degree, c))
-        for c, cdeg in zip(kids, spec.child_degrees):
-            for leaf in range(len(adj), len(adj) + cdeg - 1):
-                adj[c].append(leaf)
-                adj.append([c])
-                heappush(sites, (cdeg, leaf))
+        if len(adj) > 1:  # a chain: its root takes the first waiting leaf
+            q = runs[keys[0]]
+            run = q[0]
+            root = run[0]
+            if len(run) > 1:
+                q[0] = run[1:]
+            else:
+                q.popleft()
+                if not q:
+                    heappop(keys)
+        degs, f = spec.child_degrees, spec.filler_leaves
+        c = len(adj)
+        lo = c + len(degs) + f
+        adj[root] = (*adj[root], *range(c, lo))
+        if f:  # the base's filler leaves wait under the base root's degree
+            q = runs[spec.root_degree]
+            if not q:
+                heappush(keys, spec.root_degree)
+            q.append(range(lo - f, lo))
+        for cdeg in degs:
+            hi = lo + cdeg - 1
+            adj.append((root, *range(lo, hi)))
+            q = runs[cdeg]
+            if not q:
+                heappush(keys, cdeg)
+            q.append(range(lo, hi))
+            lo = hi
+        adj += [(root,)] * f
+        for cdeg in degs:
+            adj += [(c,)] * (cdeg - 1)
+            c += 1
     n = len(adj)
-    rank = [(n - len(ns)) * n + v for v, ns in enumerate(adj)]  # sorts as (-degree, id)
-    order = [0]  # layout ids in BFS order: order[i] gets the final id i
-    up = [()]  # up[i]: (final id of order[i]'s parent,), () for the root
-    out = []
-    for i, v in zip(range(n), order):  # at most n visits, even on a bad layout
+    out = [()] * n  # final adjacency: (parent, *children) by final id
+    inner, ids = [0], [0]  # layout and final ids of the internal vertices, in BFS order
+    nxt = 1
+    for _, i, v in zip(range(n), ids, inner):  # at most n visits, even on a bad layout
         kids = adj[v][1:] if i else adj[v]
-        if kids:
-            lo = len(order)
-            order += [r % n for r in sorted(map(rank.__getitem__, kids))]
-            up += [(i,)] * len(kids)
-            out.append((*up[i], *range(lo, len(order))))
-        else:
-            out.append(up[i])
-    if len(order) != n or sum(map(len, adj)) != 2 * n - 2:
+        lo = j = nxt
+        nxt += len(kids)
+        out[lo:nxt] = [(i,)] * len(kids)
+        out[i] += tuple(range(lo, nxt))
+        for u in kids:  # internal children come first
+            if len(adj[u]) == 1:
+                break
+            inner.append(u)
+            ids.append(j)
+            j += 1
+    if nxt != n or sum(map(len, adj)) != 2 * n - 2:
         raise InvalidTreeError(f"the layout on {n} vertices is not a tree")
     return Tree(n, tuple(out))

@@ -749,7 +749,10 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
     always accepts non-worsening moves, worsening moves with probability
     exp(delta / temperature).  The starting temperature is the mean |delta|
     of the first 100 valid swaps drawn.  The tree is kept as its edge list
-    and its parent array rooted at 0, fixed in place on each accept.
+    and its parent array rooted at 0, fixed in place on each accept.  The
+    start's index is the fsum of its edge weights (sombor_index's bits),
+    and its parent array is read off its adjacency: construct_max_tree
+    numbers vertices in BFS order from 0, so a parent is a first neighbor.
 
     One loop draws every swap, for the temperature and for the moves: edge
     indices i, j and a recombination r, each by getrandbits plus rejection,
@@ -763,15 +766,15 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
         raise ValueError(f"budget must be >= 0, got {budget}")
     rng = random.Random(seed)
     start = construct_max_tree(d)
-    start_so = sombor_index(start)
+    deg = start.degrees()
+    W = weight_table(deg)
+    edges = start.edges()
+    start_so = math.fsum([W[deg[a]][deg[b]] for a, b in edges])  # sombor_index(start)
     if budget == 0 or start.n == 2:  # a lone edge has no swap
         return AnnealResult(start, start_so, start_so, 0, 0)
 
     n = start.n
-    deg = start.degrees()
-    W = weight_table(deg)
-    edges = start.edges()
-    parent = _bfs(start.adj, 0)[1]
+    parent = [-1, *(ns[0] for ns in start.adj[1:])]  # start's ids are its BFS order from 0
     ne = len(edges)
     bits, k = rng.getrandbits, ne.bit_length()
     rand, exp = rng.random, math.exp

@@ -329,6 +329,26 @@ def test_construct_matches_relabel_reference_seeded(hi):
         assert_matches_relabel_reference(validate([rng.randint(2, hi) for _ in range(m)]))
 
 
+def test_layout_order_is_final_order():
+    # construct_max_tree's BFS takes every vertex's children as the layout
+    # stored them; relabel_reference sorts them by (-degree, id) first.  The
+    # lists with many distinct degrees and many chains (298 for 2..200 plus
+    # 400 twos) change the smallest degree with a leaf waiting most often.
+    from sombortree.sweep import generate_degree_sequences
+
+    seqs = generate_degree_sequences(16)
+    assert len(seqs) == 507
+    rng = random.Random(18)
+    seqs += [
+        validate(list(range(2, 301))),
+        validate(list(range(2, 201)) + [2] * 400),
+        validate([rng.randint(2, 120) for _ in range(200)] + [2] * 300),
+        validate([rng.choice((2, 3, rng.randint(4, 90))) for _ in range(600)]),
+    ]
+    for d in seqs:
+        assert_matches_relabel_reference(d)
+
+
 def test_last_merge_site_beats_alternatives():
     # attaching the final chain anywhere other than L1^m never wins
     from sombortree.sweep import generate_degree_sequences

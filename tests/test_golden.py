@@ -55,27 +55,40 @@ def seeded_degrees(seed, m, hi):
 
 
 # Seeded random lists at m = 2000, far past the one-merge-at-a-time
-# construction's reach in the tests above (n = 6,064 and 39,270).
-@pytest.mark.parametrize(
-    "seed, hi, digest",
-    [
-        (2000, 6, "d0097eb1c1decf64460a1bb240a30396488a3f88e8d5f433d94089ee25937d15"),
-        (2001, 40, "b0af4c63d39625689ffd55dbcb65114488ab229ef48b8c54809285d7be17e383"),
-    ],
-    ids=["m2000_deg2to6", "m2000_deg2to40"],
-)
+# construction's reach in the tests above (n = 6,064 and 39,270); CI
+# compares `sombor construct` on the degrees 2..40 one, less its final
+# newline, through the installed console script too.
+CONSTRUCT_M2000 = {
+    "m2000_deg2to6": (2000, 6, "d0097eb1c1decf64460a1bb240a30396488a3f88e8d5f433d94089ee25937d15"),
+    "m2000_deg2to40": (2001, 40, "b0af4c63d39625689ffd55dbcb65114488ab229ef48b8c54809285d7be17e383"),
+}
+
+
+@pytest.mark.parametrize("seed, hi, digest", list(CONSTRUCT_M2000.values()), ids=list(CONSTRUCT_M2000))
 def test_construct_json_m2000(seed, hi, digest):
     d = seeded_degrees(seed, 2000, hi)
     assert sha(construct_max_tree(d).to_json()) == digest
 
 
 def test_construct_realizes_m20000():
-    # no timer: a construction quadratic in m would take many minutes here
+    # no timer: a construction quadratic in m would take many minutes here;
+    # the digest was recorded from the construction that kept its leaves in
+    # one heap and sorted every vertex's children before the relabel
     d = seeded_degrees(20000, 20000, 6)
     t = construct_max_tree(d)
     assert t.n == d.vertex_count
     assert t.internal_degrees() == d.degrees
     assert len(t.leaves()) == d.leaf_count
+    assert sha(t.to_json()) == "c9e9a42b2ca1b523cfdca8b3228a1bd0e49b5839b52e5a750b87c1f375b0cd9a"
+
+
+def test_construct_json_many_distinct_degrees():
+    # 299 distinct degrees and 448 chains, so the smallest degree with a
+    # leaf waiting changes often; recorded from the same construction
+    d = validate(list(range(2, 301)) + [2] * 600)
+    assert sha(construct_max_tree(d).to_json()) == (
+        "3c9a8588f9c344107cbd8656790632fce386fc10dcbf5a51419e40c6cba3bc52"
+    )
 
 
 # The sweep CSV for n <= 10 (CI compares `sombor sweep --max-n 10` through

@@ -1097,6 +1097,27 @@ def test_unbeaten_anneal_returns_constructed_tree(monkeypatch):
     assert unbeaten > 0
 
 
+def assert_anneal_start_read_off(d, seed):
+    # anneal_search roots the constructed tree at 0 by reading each vertex's
+    # parent off its first neighbor, and sums the start's index itself
+    t = construct_max_tree(d)
+    assert _bfs(t.adj, 0)[1] == [-1, *(ns[0] for ns in t.adj[1:])]
+    assert anneal_search(d, 1, seed).start_so.hex() == sombor_index(t).hex()
+
+
+def test_anneal_start_every_sequence_to_n12():
+    seqs = [validate([])] + generate_degree_sequences(12)
+    assert len(seqs) == 139
+    for d in seqs:
+        assert_anneal_start_read_off(d, 1)
+
+
+@given(degree_lists(max_n=200), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_anneal_start_read_off_constructed_tree(d, seed):
+    assert_anneal_start_read_off(d, seed)
+
+
 # Seeded runs pinned bit for bit: a change to the annealer's swap sampling
 # or edge weights must not move its RNG stream or its result.
 ANNEAL_GOLDEN = [
