@@ -11,7 +11,9 @@ by degree class: the 2-swap scan scores each pair of edge classes once
 and tests validity, O(1) on preorder intervals, only within class pairs
 that could beat the best; the path-inequality check scores each degree
 pattern between two leaf supports once, keeps only violated entries and
-walks a path again only when its records are read.
+walks a path again only when its records are read.  The 2-swap scan and
+the annealer are tested against the brute-force neighbourhood in
+tests/swaps.py.
 """
 
 from __future__ import annotations
@@ -316,39 +318,10 @@ class SwapMove:
         return ((a, c), (b, d)) if self.recombination == 0 else ((a, d), (b, c))
 
 
-def _valid_recombination(parent, a: int, b: int, c: int, d: int):
-    """(r, x, y, nest): r is the one recombination of the disjoint edges
-    (a,b), (c,d) of the tree rooted by parent (-1 at the root) that gives
-    a tree again.
-
-    Deleting both edges leaves three components.  The near end of each
-    edge (on the other edge's side) lies in the middle one, so it must be
-    paired with the far end of the other edge; the other recombination
-    closes a cycle.  With x, y the child ends of (a,b), (c,d), the near end
-    of (a,b) is x when y lies in x's subtree (nest 1), else x's parent; of
-    (c,d), y when x lies in y's (nest 2).  Each test is a walk up, O(depth).
-    """
-    x = a if parent[a] == b else b
-    y = c if parent[c] == d else d
-    v = parent[y]
-    while v != x and v != -1:
-        v = parent[v]
-    if v == x:
-        nest = 1
-    else:
-        v = parent[x]
-        while v != y and v != -1:
-            v = parent[v]
-        nest = 2 if v == y else 0
-    near_ab = x if nest == 1 else parent[x]
-    near_cd = y if nest == 2 else parent[y]
-    # pair (a,d),(b,c) when a and c are both near ends, or neither is
-    return int((near_cd == c) == (near_ab == a)), x, y, nest
-
-
 def _reroot(parent, x: int, y: int, nest: int) -> None:
     """Keep parent the rooting at 0 after the valid swap of the edges above
-    x and y (as _valid_recombination reports them), in place, O(depth)."""
+    the child ends x and y, nest 1 when y lies below x, 2 when x lies below
+    y, else 0, in place, O(depth)."""
     if nest == 2:
         x, y = y, x
     px, py = parent[x], parent[y]
@@ -363,41 +336,11 @@ def _reroot(parent, x: int, y: int, nest: int) -> None:
     parent[y] = x
 
 
-def two_swap_neighbors(t: Tree):
-    """Stream all valid SwapMoves of t, one per endpoint-disjoint edge pair."""
-    edges = t.edges()
-    parent = _bfs(t.adj, 0)[1]
-    for i in range(len(edges)):
-        a, b = edges[i]
-        for j in range(i + 1, len(edges)):
-            c, d = edges[j]
-            if a == c or a == d or b == c or b == d:
-                continue
-            r = _valid_recombination(parent, a, b, c, d)[0]
-            yield SwapMove(edges[i], edges[j], r)
-
-
 def apply_swap(t: Tree, move: SwapMove) -> Tree:
     drop = {frozenset(move.edge_a), frozenset(move.edge_b)}
     edges = [e for e in t.edges() if frozenset(e) not in drop]
     edges.extend(move.new_edges())
     return Tree.from_edges(t.n, edges)
-
-
-def _delta(W, deg, old1, old2, new1, new2) -> float:
-    """Sombor change of replacing edges old1, old2 by new1, new2 with every
-    degree untouched: only those four edge weights move."""
-    (a, b), (c, d), (p, q), (r, s) = old1, old2, new1, new2
-    return (
-        W[deg[p]][deg[q]] + W[deg[r]][deg[s]]
-        - W[deg[a]][deg[b]] - W[deg[c]][deg[d]]
-    )
-
-
-def swap_delta(t: Tree, move: SwapMove) -> float:
-    """Sombor change of a swap."""
-    deg = t.degrees()
-    return _delta(weight_table(deg), deg, move.edge_a, move.edge_b, *move.new_edges())
 
 
 @dataclass(frozen=True)
@@ -445,19 +388,19 @@ def is_local_max(t: Tree) -> LocalMaxReport:
 
     A swap's delta depends only on the degrees of its four ends, so the
     edges (a,b), a < b, of t.edges() are grouped into classes by
-    (d(a), d(b)).  For each ordered pair of classes, P edge first as in
-    two_swap_neighbors, the deltas of both recombinations, d0 for
-    (a,c),(b,d) and d1 for (a,d),(b,c), are computed once in _delta's
-    operand order (the two orders of a class pair sum the same weights
-    in a different order, so their floats may differ).  Class pairs are
-    taken by their larger delta, highest first, and the scan stops at
-    the first one below the best valid delta so far (0.0 at the start):
-    no later pair can reach the best.  Pairs from the class pairs before
+    (d(a), d(b)).  For each ordered pair of classes, P edge first, the
+    deltas of both recombinations, d0 for (a,c),(b,d) and d1 for
+    (a,d),(b,c), are computed once as new + new - old - old (the two
+    orders of a class pair sum the same weights in a different order, so
+    their floats may differ).  Class pairs are taken by their larger
+    delta, highest first, and the scan stops at the first one below the
+    best valid delta so far (0.0 at the start): no later pair can reach
+    the best.  Pairs from the class pairs before
     it are tested: disjoint, then r = [a = x] = [c = y] for the child ends
     x, y, negated when the preorder interval of one holds the other
-    (_edge_intervals), as _valid_recombination's walk finds.  The move is
-    the first (i, j) in edge order with the largest valid delta, as a scan
-    of every move of two_swap_neighbors with swap_delta finds.
+    (_edge_intervals), as a walk up the parent pointers finds.  The move
+    is the first (i, j) in edge order with the largest valid delta, as a
+    scan of every disjoint pair i < j finds.
     """
     deg = t.degrees()
     W = weight_table(deg)
@@ -758,7 +701,7 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
     indices i, j and a recombination r, each by getrandbits plus rejection,
     the same bits rng.randrange draws, so the run is reproducible from the
     seed.  A draw is kept when i, j are disjoint edges and r is their one
-    valid recombination (the test of _valid_recombination); _SAMPLE_TRIES
+    valid recombination (a walk up the parent array); _SAMPLE_TRIES
     draws in a row without a kept one end the warm-up, or the search.
     A negative budget raises ValueError.
     """

@@ -35,14 +35,12 @@ from sombortree.verify import (
     LocalMaxReport,
     PathInequalityRecord,
     SwapMove,
-    _delta,
     _edge_intervals,
     _hang_leaves,
     _maximizers,
     _placement_code,
     _reroot,
     _skeleton_scan,
-    _valid_recombination,
     anneal_search,
     apply_swap,
     attachment_profile,
@@ -51,11 +49,10 @@ from sombortree.verify import (
     is_local_max,
     oracle_max,
     prufer_space_size,
-    swap_delta,
-    two_swap_neighbors,
 )
 
 from labeled import _next_permutation, enumerate_trees, prufer_to_tree
+from swaps import _delta, _valid_recombination, swap_delta, two_swap_neighbors
 
 CATERPILLAR_322 = Tree.from_edges(6, [(0, 1), (1, 2), (0, 3), (0, 4), (2, 5)])
 SPIDER_322 = Tree.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)])
