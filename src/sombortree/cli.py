@@ -126,8 +126,7 @@ def _cmd_score(args) -> int:
         with open(args.input) as fh:
             tree = Tree.from_json(fh.read())
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read tree from {args.input}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _InputError(f"cannot read tree from {args.input}: {exc}") from None
     print(f"{sombor_index(tree):.12g}")
     return EXIT_OK
 
@@ -181,8 +180,7 @@ def _cmd_sweep(args) -> int:
             args.max_n, cap=cap, out_csv=args.out, witness_dir=args.witness_dir
         )
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _InputError(str(exc)) from None
     bad = [r for r in records if not r.optimal and not r.capped]
     capped = [r for r in records if r.capped]
     print(
@@ -243,6 +241,9 @@ def run(argv) -> int:
         return EXIT_USAGE
     except (_InputError, DegreeSequenceError, InvalidTreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (OverflowError, MemoryError) as exc:  # e.g. a degree past sys.maxsize
+        print(f"error: input too large: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

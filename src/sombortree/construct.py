@@ -7,10 +7,10 @@ minimum leaf-adjacent degree.
 
 construct_max_tree does this in one pass over one growing adjacency:
 every vertex has its final degree when it is laid out, so a leaf's key
-(neighbor degree, leaf id) never changes, and per-degree FIFO queues of
-leaf runs yield each attachment site, with no heap of leaves; the layout
-already stores each vertex's children in final order, so one BFS over the
-internal vertices assigns the final ids and builds the Tree, with no sort.
+(neighbor degree, leaf id) never changes; a cursor over the sorted
+degrees reads each attachment site off per-degree FIFO queues of leaf
+runs, with no heap; the layout stores children in final order, so one
+BFS over the internal vertices assigns the final ids, with no sort.
 materialize, merge_once and attachment_site are the same steps on whole
 Trees, one merge at a time, each validated by Tree.from_edges.
 """
@@ -19,22 +19,16 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from sombortree.graph import (
     DegreeSequence,
     InvalidTreeError,
-    NoLeavesError,
     Tree,
     leaf_layer_profile,
 )
 
 CHAIN = "chain"
 BASE = "base"
-
-
-class NoAttachmentSiteError(NoLeavesError):
-    """Host tree offers no leaf to identify a subtree root with."""
 
 
 @dataclass(frozen=True)
@@ -119,9 +113,8 @@ def materialize(spec: SubtreeSpec) -> RootedSubtree:
 
 
 def attachment_site(t: Tree) -> int:
-    """Lowest-id leaf whose neighbor has the minimum leaf-adjacent degree."""
-    if not t.leaves():
-        raise NoAttachmentSiteError("tree has no leaves")
+    """Lowest-id leaf whose neighbor has the minimum leaf-adjacent degree
+    (NoLeavesError on the one-vertex tree, from leaf_layer_profile)."""
     return leaf_layer_profile(t).l1m_leaves[0]
 
 
@@ -160,6 +153,11 @@ def construct_max_tree(d: DegreeSequence) -> Tree:
     ids are handed out in ascending order, so the leaves of one neighbor
     degree wait in one FIFO queue of leaf runs, already in key order: the
     attachment site is the head of the queue of the smallest waiting degree.
+    That degree never decreases, so a cursor over the sorted distinct
+    degrees finds it: a spec keys its leaves by its children's degrees (the
+    base's filler leaves by its root's), and the chains, laid out back to
+    front, take their children from the high end of the sorted degrees, so
+    each spec's keys are at least every earlier spec's.
 
     The layout already stores every vertex's children in final order, by
     non-increasing degree, then id:
@@ -183,35 +181,25 @@ def construct_max_tree(d: DegreeSequence) -> Tree:
         return Tree.from_edges(2, [(0, 1)])
     adj: list[tuple[int, ...]] = [()]  # a non-root vertex's tuple starts with its parent
     runs: defaultdict[int, deque[range]] = defaultdict(deque)  # key degree -> leaf runs
-    keys: list[int] = []  # heap of the key degrees with a leaf waiting
+    keys, k = sorted(set(d.degrees)), 0  # keys[k]: the smallest key with a leaf waiting
     root = 0
     for spec in reversed(decompose(d)):
         if len(adj) > 1:  # a chain: its root takes the first waiting leaf
-            q = runs[keys[0]]
-            run = q[0]
-            root = run[0]
-            if len(run) > 1:
-                q[0] = run[1:]
-            else:
+            while not (q := runs[keys[k]]):
+                k += 1
+            root, q[0] = q[0][0], q[0][1:]
+            if not q[0]:
                 q.popleft()
-                if not q:
-                    heappop(keys)
         degs, f = spec.child_degrees, spec.filler_leaves
         c = len(adj)
         lo = c + len(degs) + f
         adj[root] = (*adj[root], *range(c, lo))
         if f:  # the base's filler leaves wait under the base root's degree
-            q = runs[spec.root_degree]
-            if not q:
-                heappush(keys, spec.root_degree)
-            q.append(range(lo - f, lo))
+            runs[spec.root_degree].append(range(lo - f, lo))
         for cdeg in degs:
             hi = lo + cdeg - 1
             adj.append((root, *range(lo, hi)))
-            q = runs[cdeg]
-            if not q:
-                heappush(keys, cdeg)
-            q.append(range(lo, hi))
+            runs[cdeg].append(range(lo, hi))
             lo = hi
         adj += [(root,)] * f
         for cdeg in degs:

@@ -400,6 +400,50 @@ def test_bad_degrees_exit_1(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["construct"], ["check"], ["verify"], ["search", "--budget", "1", "--seed", "1"]],
+    ids=lambda argv: argv[0],
+)
+def test_oversized_degree_exit_1(capsys, argv):
+    # a degree past sys.maxsize cannot size the layout's lists; the
+    # OverflowError comes before anything is allocated
+    assert run([argv[0], "--degrees", "99999999999999999999", *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: input too large: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_out_of_memory_exit_1(capsys, monkeypatch):
+    # the MemoryError is raised here, not provoked: nothing is allocated
+    def exhausted(d):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "construct_max_tree", exhausted)
+    assert run(["construct", "--degrees", "3,2,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input too large: out of memory\n"
+
+
+def test_score_and_sweep_error_lines(capsys, tmp_path):
+    # both commands raise and run() prints the line: pin it byte for byte
+    missing = tmp_path / "nope.json"
+    assert run(["score", "--input", str(missing)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read tree from {missing}: "
+        f"[Errno 2] No such file or directory: '{missing}'\n"
+    )
+    out = tmp_path / "missing" / "report.csv"
+    assert run(["sweep", "--max-n", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: writing sweep CSV {out}: [Errno 2] No such file or directory: '{out}'\n"
+    )
+    assert run(["sweep", "--max-n", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: max_n must be >= 3\n"
+
+
 def test_leaf_degree_exit_1(capsys):
     assert run(["construct", "--degrees", "3,1"]) == 1
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sombortree.graph import (
+    NoLeavesError,
     Tree,
     canonical_form,
     sombor_index,
@@ -159,6 +160,11 @@ def test_attachment_site_paper_base():
 
 def test_attachment_site_p4():
     assert attachment_site(path_tree(4)) == 0
+
+
+def test_attachment_site_single_vertex_has_no_leaves():
+    with pytest.raises(NoLeavesError):
+        attachment_site(Tree.from_edges(1, []))
 
 
 # -- merge -------------------------------------------------------------------
@@ -365,3 +371,45 @@ def test_last_merge_site_beats_alternatives():
         for leaf in host.leaves():
             alt_so = sombor_index(merge_at(host, final, leaf))
             assert chosen_so >= alt_so - 1e-9 * chosen_so
+
+
+def stepwise_site_degrees(d):
+    """The neighbour degree of each leaf the stepwise construction attaches a
+    chain at: materialize the base, then merge each chain back to front at
+    attachment_site, as merge_once does."""
+    specs = decompose(d)
+    t = materialize(specs[-1]).tree
+    taken = []
+    for spec in reversed(specs[:-1]):
+        leaf = attachment_site(t)
+        taken.append(t.degree(t.adj[leaf][0]))
+        t = merge_at(t, materialize(spec), leaf)
+    return taken
+
+
+def test_smallest_waiting_degree_never_decreases():
+    # construct_max_tree finds each attachment site with a cursor that only
+    # moves up the sorted degrees; that is sound only if the degree each
+    # chain attaches at never decreases.  500,500,500,2,2,2 attaches at 2,
+    # then at 500, past every integer between.
+    from sombortree.sweep import generate_degree_sequences
+
+    seqs = generate_degree_sequences(16)
+    assert len(seqs) == 507
+    rng = random.Random(18)
+    seqs += [
+        validate(list(range(2, 301))),
+        validate(list(range(2, 201)) + [2] * 400),
+        validate([rng.randint(2, 120) for _ in range(200)] + [2] * 300),
+        validate([rng.choice((2, 3, rng.randint(4, 90))) for _ in range(600)]),
+    ]
+    for d in seqs:
+        taken = stepwise_site_degrees(d)
+        assert taken == sorted(taken)
+    assert stepwise_site_degrees(validate([500] * 3 + [2] * 3)) == [2, 500]
+
+
+@pytest.mark.parametrize("big", [500, 5000])
+def test_construct_skips_a_gap_in_the_degrees(big):
+    # the cursor walks the distinct degrees, so it jumps from 2 to big
+    assert_matches_relabel_reference(validate([big] * 3 + [2] * 3))
