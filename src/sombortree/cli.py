@@ -2,7 +2,7 @@
 
 Exit codes: 0 success/confirmed, 1 usage or input error, 2 inconclusive
 (enumeration capped), 3 counterexample found (oracle or annealer beat the
-constructor).
+constructor, or check found an improving 2-swap).
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from sombortree.graph import (
@@ -183,16 +184,13 @@ def _cmd_sweep(args) -> int:
         raise _InputError(str(exc)) from None
     bad = [r for r in records if not r.optimal and not r.capped]
     capped = [r for r in records if r.capped]
-    print(
-        json.dumps(
-            {
-                "rows": len(records),
-                "non_optimal": len(bad),
-                "capped": len(capped),
-                "csv": args.out,
-            }
-        )
-    )
+    payload = {
+        "rows": len(records),
+        "non_optimal": len(bad),
+        "capped": len(capped),
+        "csv": args.out,
+    }
+    print(json.dumps(payload))
     if bad:
         return EXIT_COUNTEREXAMPLE
     if capped:
@@ -248,7 +246,13 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a reader that left early fails here, not at exit
+    except BrokenPipeError:  # stdout to devnull, so the exit flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit("error: stdout closed before the output ended")  # exit 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -82,8 +82,6 @@ class Tree:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
     def leaves(self) -> list[int]:
-        if self.n == 1:
-            return []
         return [v for v in range(self.n) if len(self.adj[v]) == 1]
 
     def internal_degrees(self) -> tuple[int, ...]:
@@ -267,11 +265,15 @@ def canonical_form(t: Tree) -> str:
     """AHU code rooted at the tree center; equal codes iff isomorphic.
 
     For bicentric trees the lexicographically smaller of the two rooted
-    codes is used.
+    codes is used.  _placement_code reads it off the skeleton, numbered by
+    one BFS from the lower center (n <= 2: one vertex, degree 0 or 1).
     """
-    if t.n == 1:
-        return "()"
-    return min(_rooted_code(t.adj, c) for c in tree_centers(t.adj))
+    deg = t.degrees()
+    skeleton = _skeleton(t.adj, deg)
+    order, parent = _bfs(skeleton, tree_centers(t.adj)[0])
+    label = {v: i for i, v in enumerate(order)}
+    up = [-1] + [label[parent[v]] for v in order[1:]]
+    return _placement_code((up, [len(skeleton[v]) for v in order], [deg[v] for v in order]))
 
 
 def tree_centers(adj) -> list[int]:
@@ -289,20 +291,35 @@ def tree_centers(adj) -> list[int]:
     return sorted(path[(k - 1) // 2 : k // 2 + 1])
 
 
-def _rooted_code(adj, root: int) -> str:
-    """AHU code of the tree rooted at root: "(" + sorted child codes + ")".
+def _skeleton(adj, deg):
+    """Adjacency over the internal vertices only, () for every leaf."""
+    return [[u for u in ns if deg[u] > 1] if len(ns) > 1 else () for ns in adj]
 
-    Iterative, children before parents in reverse BFS order, so deep trees
-    cannot reach the recursion limit.
-    """
-    order, parent = _bfs(adj, root)
-    kids: list[list[str]] = [[] for _ in adj]
-    for v in reversed(order):
-        code = "(" + "".join(sorted(kids[v])) + ")"
-        kids[v] = []
-        if v == root:
-            return code
-        kids[parent[v]].append(code)
+
+def _placement_code(key) -> str:
+    """canonical_form of the tree of a skeleton placement (parent, s, deg):
+    vertices 0..m-1, parent[v] < v, deg[v] - s[v] leaves hung on each.  Every
+    skeleton leaf carries a hung leaf, so the tree's centers are vertex 0, the
+    skeleton's center, and the root of the one branch at 0 taller than all
+    others, if there is one.  AHU codes are built bottom-up over parent, hung
+    leaves' "()" last: skeleton children's codes start "((" and sort first."""
+    parent, s, deg = key
+    m = len(deg)
+    kids, code, height = [[] for _ in range(m)], [""] * m, [0] * m  # kids: child codes
+
+    def close(v, extra=()):
+        return "(" + "".join(sorted([*kids[v], *extra])) + "()" * (deg[v] - s[v]) + ")"
+
+    for v in range(m - 1, 0, -1):
+        code[v] = close(v)
+        kids[parent[v]].append(code[v])
+        height[parent[v]] = max(height[parent[v]], height[v] + 1)
+    best = close(0)
+    tall = [v for v in range(1, m) if parent[v] == 0 and height[v] + 1 == height[0]]
+    if len(tall) == 1:
+        kids[0].remove(code[tall[0]])
+        best = min(best, close(tall[0], [close(0)]))
+    return best
 
 
 def _is_int(x) -> bool:

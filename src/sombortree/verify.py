@@ -30,9 +30,10 @@ from math import factorial
 
 from sombortree.graph import (
     DegreeSequence,
-    InvalidTreeError,
     Tree,
     _bfs,
+    _placement_code,
+    _skeleton,
     exceeds,
     leaf_layer_profile,
     sombor_index,
@@ -211,46 +212,13 @@ def _placements(vals, left, s):
 
 
 def _hang_leaves(key) -> Tree:
-    """The tree of one skeleton placement: internal vertices 0..m-1, then the
-    leaves hung on 0, 1, ...  Each adjacency, (parent, skeleton children, hung
-    leaves), is sorted, so the Tree is built as is once the degrees sum to
-    2n - 2 and a walk from 0 reaches all n vertices (else InvalidTreeError)."""
-    parent, s, deg = key
-    adj = [[parent[v]] if v else [] for v in range(len(deg))]
-    for v in range(1, len(deg)):
-        adj[parent[v]].append(v)
-    for v, k in enumerate(x - y for x, y in zip(deg, s)):
-        adj[v] += range(len(adj), len(adj) + k)
-        adj += [(v,)] * k
-    n = len(adj)
-    if sum(map(len, adj)) != 2 * n - 2 or len(_bfs(adj, 0)[0]) != n:
-        raise InvalidTreeError(f"the placement on {n} vertices is not a tree")
-    return Tree(n, tuple(map(tuple, adj)))
-
-
-def _placement_code(key) -> str:
-    """canonical_form(_hang_leaves(key)), read off the skeleton: every
-    skeleton leaf carries a hung leaf, so the tree's centers are vertex 0,
-    where free_trees roots the skeleton, and, when one branch at 0 is taller
-    than all others, its root.  AHU codes are built bottom-up over parent,
-    hung leaves' "()" last: skeleton children's codes start "((" and sort first."""
+    """The tree of a placement: skeleton edges, then leaves hung on 0, 1, ..."""
     parent, s, deg = key
     m = len(deg)
-    kids, code, height = [[] for _ in range(m)], [""] * m, [0] * m  # kids: child codes
-
-    def close(v, extra=()):
-        return "(" + "".join(sorted([*kids[v], *extra])) + "()" * (deg[v] - s[v]) + ")"
-
-    for v in range(m - 1, 0, -1):
-        code[v] = close(v)
-        kids[parent[v]].append(code[v])
-        height[parent[v]] = max(height[parent[v]], height[v] + 1)
-    best = close(0)
-    tall = [v for v in range(1, m) if parent[v] == 0 and height[v] + 1 == height[0]]
-    if len(tall) == 1:
-        kids[0].remove(code[tall[0]])
-        best = min(best, close(tall[0], [close(0)]))
-    return best
+    edges = [(parent[v], v) for v in range(1, m)]
+    hung = [v for v in range(m) for _ in range(deg[v] - s[v])]
+    edges += [(v, m + i) for i, v in enumerate(hung)]
+    return Tree.from_edges(m + len(hung), edges)
 
 
 def _maximizers(scored) -> tuple[float, dict[str, tuple[float, tuple]]]:
@@ -467,11 +435,6 @@ class PathInequalityRecord:
             "rhs_degree": self.rhs_degree,
             "holds": self.holds,
         }
-
-
-def _skeleton(adj, deg):
-    """Adjacency over the internal vertices only, () for every leaf."""
-    return [[u for u in ns if deg[u] > 1] if len(ns) > 1 else () for ns in adj]
 
 
 def _path_pairs(k: int) -> tuple[tuple[int, int, int, int, int], ...]:

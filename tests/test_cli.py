@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -361,6 +366,61 @@ CHECK_OUT = (
 def test_check_matches_recorded_output(capsys):
     assert run(CHECK_ARGV) == 0
     assert capsys.readouterr().out == CHECK_OUT
+
+
+# pinned bit for bit: the oracle's three tied witnesses, read off skeleton
+# placements (CI compares the installed console script too)
+VERIFY_ARGV = ["verify", "--degrees", "3,3,3,3,2"]
+VERIFY_OUT = (
+    '{"degrees": [3, 3, 3, 3, 2], "n": 11, "m": 5, "constructed_so": 34.67004988617683, '
+    '"oracle_so": 34.67004988617683, "gap": 0.0, "optimal": true, "capped": false, '
+    '"enumerated": 22680, "witnesses": ["(((()())(()()))(()()))", '
+    '"(((()())())((()())()))", "(((()())())((()()))())"]}\n'
+)
+
+
+def test_verify_matches_recorded_output(capsys):
+    assert run(VERIFY_ARGV) == 0
+    out = capsys.readouterr().out
+    assert out == VERIFY_OUT
+    payload = json.loads(out)
+    assert len(payload["witnesses"]) == 3 and payload["enumerated"] == 22680
+    assert payload["oracle_so"] == payload["constructed_so"]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _console(argv, **kw):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.Popen(
+        [sys.executable, "-m", "sombortree.cli", *argv], stderr=subprocess.PIPE, env=env, **kw
+    )
+
+
+def test_closed_stdout_mid_output_exits_1_in_one_line():
+    # 3.7 MB of check output; the reader takes one byte and leaves, so the
+    # write of the report itself fails
+    rng = random.Random(7)
+    degrees = ",".join(str(rng.randint(3, 5)) for _ in range(150))
+    proc = _console(["check", "--degrees", degrees], stdout=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b"error: stdout closed before the output ended\n"
+
+
+def test_closed_stdout_before_output_exits_1_in_one_line():
+    # the read end is gone before the process starts, so the short verify
+    # line fails only when the buffered stdout is flushed
+    r, w = os.pipe()
+    os.close(r)
+    proc = _console(VERIFY_ARGV, stdout=w)
+    os.close(w)
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b"error: stdout closed before the output ended\n"
 
 
 def test_reused_parser_keeps_no_state(capsys, monkeypatch):

@@ -21,6 +21,8 @@ from sombortree.graph import (
 )
 from sombortree.construct import SubtreeSpec, construct_max_tree, materialize
 
+from sombortree.sweep import generate_degree_sequences
+
 from labeled import prufer_to_tree
 
 
@@ -317,6 +319,21 @@ def test_canonical_form_deep_path():
         return "(" * k + ")" * k
 
     assert canonical_form(path_tree(5000)) == "(" + arm(2500) + arm(2499) + ")"
+
+
+def test_canonical_form_smallest_trees():
+    # the lone vertex and the lone edge are one-vertex skeleton placements
+    assert canonical_form(Tree.from_edges(1, [])) == "()"
+    assert canonical_form(Tree.from_edges(2, [(0, 1)])) == "(())"
+
+
+def test_canonical_matches_recursive_reference_on_constructed_trees():
+    # leaf-heavy trees: every constructed tree with n <= 16
+    seqs = generate_degree_sequences(16)
+    assert len(seqs) == 507
+    for d in seqs:
+        t = construct_max_tree(d)
+        assert canonical_form(t) == _recursive_canonical_form(t), d
 
 
 def test_degree_sequence_str():

@@ -52,6 +52,7 @@ from sombortree.verify import (
 )
 
 from labeled import _next_permutation, enumerate_trees, prufer_to_tree
+from test_graph import _recursive_canonical_form
 from swaps import _delta, _valid_recombination, swap_delta, two_swap_neighbors
 
 CATERPILLAR_322 = Tree.from_edges(6, [(0, 1), (1, 2), (0, 3), (0, 4), (2, 5)])
@@ -292,6 +293,17 @@ def test_placement_code_matches_canonical_form():
             seen += 1
             bicentral += len(tree_centers(tree.adj)) == 2
     assert (seen, bicentral) == (9_732, 4_356)
+
+
+def test_placement_code_matches_recursive_reference():
+    # an independent reference for the oracle's codes: the recursive AHU
+    # code of each placement's tree, at both centers when there are two
+    seen = 0
+    for d in sequences_to(14):
+        for _, key in _skeleton_scan(d):
+            assert _placement_code(key) == _recursive_canonical_form(_hang_leaves(key)), key
+            seen += 1
+    assert seen == 9_732
 
 
 def test_placement_code_deep_skeleton():
@@ -863,6 +875,47 @@ def test_theorem1_counts_interleaved_leaf_pairs():
     assert [r.path[0] for r in report.violating] == [1, 1, 1, 5, 5]
     assert_counts_need_no_records(INTERLEAVED)
     assert_theorem1_matches_reference(INTERLEAVED)
+
+
+def _oriented_count(t):
+    """The violations of every leaf pair in its better orientation: over
+    support pairs s != u with cs and cu leaves, cs * cu * min(|table[s][u]|,
+    |table[u][s]|), a missing entry counting 0.  No leaf id enters it."""
+    table = check_theorem1(t).table
+    on = Counter(t.adj[a][0] for a in t.leaves())
+    return sum(
+        on[s] * on[u] * min(len(table.get(s, {}).get(u, ())), len(table.get(u, {}).get(s, ())))
+        for s, u in itertools.combinations(on, 2)
+    )
+
+
+def test_33332_maximizer_breaks_alternation_both_ways():
+    # a finding, not a verdict: the smallest sequence with an exact maximizer
+    # that violates the alternation in both orientations of a leaf pair
+    d = validate([3, 3, 3, 3, 2])
+    res = oracle_max(d)
+    constructed = construct_max_tree(d)
+    trees = [*res.witness_trees, constructed]
+    for t in trees:
+        deg = t.degrees()
+        pairs = Counter(tuple(sorted((deg[u], deg[v]))) for u, v in t.edges())
+        assert pairs == {(1, 3): 6, (2, 3): 2, (3, 3): 2}
+        assert sombor_index(t).hex() == "0x1.155c431d5e8b4p+5"
+    oriented = dict(zip(res.witnesses, map(_oriented_count, res.witness_trees)))
+    assert oriented == {
+        "(((()())(()()))(()()))": 0,
+        "(((()())())((()())()))": 4,
+        "(((()())())((()()))())": 0,
+    }
+    assert _oriented_count(constructed) == 0
+    # the raw count reads the labels: 16 as constructed, 0 once the leaves
+    # 4, 5 become 6, 7, the leaves 6, 7 become 9, 10 and 9, 10 become 4, 5
+    assert check_theorem1(constructed).violations == 16
+    label = [0, 1, 2, 3, 6, 7, 9, 10, 8, 4, 5]
+    relabeled = Tree.from_edges(11, [(label[u], label[v]) for u, v in constructed.edges()])
+    assert canonical_form(relabeled) == canonical_form(constructed)
+    assert check_theorem1(relabeled).violations == 0
+    assert _oriented_count(relabeled) == 0
 
 
 # -- attachment profile ------------------------------------------------------
