@@ -1,18 +1,14 @@
 """Greedy construction of the candidate maximum-Sombor tree.
 
-The degree sequence is decomposed into rooted subtrees (a run of chain
-subtrees followed by one base subtree), which are then merged back to
+The degree sequence splits into rooted subtrees, a run of chains and then
+one base, each a slice of the sorted degrees.  They are merged back to
 front by identifying each chain root with a leaf whose neighbor has the
 minimum leaf-adjacent degree.
 
-construct_max_tree does this in one pass over one growing adjacency:
-every vertex has its final degree when it is laid out, so a leaf's key
-(neighbor degree, leaf id) never changes; a cursor over the sorted
-degrees reads each attachment site off per-degree FIFO queues of leaf
-runs, with no heap; the layout stores children in final order, so one
-BFS over the internal vertices assigns the final ids, with no sort.
-materialize, merge_once and attachment_site are the same steps on whole
-Trees, one merge at a time, each validated by Tree.from_edges.
+_chains walks the subtrees back to front; decompose wraps that walk in
+SubtreeSpecs, and construct_max_tree reads it in one pass over one
+growing adjacency.  materialize, merge_once and attachment_site are the
+same steps on whole Trees, one merge at a time, checked by Tree.from_edges.
 """
 
 from __future__ import annotations
@@ -22,6 +18,7 @@ from dataclasses import dataclass
 
 from sombortree.graph import (
     DegreeSequence,
+    EntryBelowTwoError,
     InvalidTreeError,
     Tree,
     leaf_layer_profile,
@@ -63,28 +60,36 @@ class RootedSubtree:
     assigned_root_degree: int
 
 
+def _chains(d: DegreeSequence):
+    """Yield (kind, root degree, child-degree slice, filler leaves) for the
+    base, then each chain back to front, as construct_max_tree lays them
+    out; decompose's loop, on integers only, finds the base's slice."""
+    deg = d.degrees  # non-increasing
+    if min(deg) < 2:
+        raise EntryBelowTwoError(f"internal degree {min(deg)} < 2")
+    lo, hi = 0, len(deg)
+    while deg[hi - 1] <= hi - lo - 2:
+        hi -= 1
+        lo += deg[hi] - 1
+    ds = deg[hi - 1]
+    yield BASE, ds, deg[lo : hi - 1], ds - (hi - 1 - lo)
+    for ds in deg[hi:]:
+        lo -= ds - 1
+        yield CHAIN, ds, deg[lo : lo + ds - 1], 0
+
+
 def decompose(d: DegreeSequence) -> list[SubtreeSpec]:
     """Split a degree sequence into chain specs plus one final base spec.
 
     Worklist semantics: while the smallest remaining degree ds fits
     ds <= count - 2, emit a chain rooted at degree ds whose children take
     the ds - 1 largest remaining degrees; otherwise emit the base using
-    everything left (padded with filler leaves) and stop.  What remains is
-    the slice deg[lo:hi], so each step costs only its own chain.
+    everything left (padded with filler leaves) and stop.  The specs are
+    _chains' walk, put back in front-to-back order.
     """
     if d.m < 1:
         raise ValueError("decompose needs at least one internal degree")
-    deg = d.degrees  # non-increasing
-    lo, hi = 0, d.m
-    specs = []
-    while deg[hi - 1] <= hi - lo - 2:
-        hi -= 1
-        ds = deg[hi]
-        specs.append(SubtreeSpec(CHAIN, ds, deg[lo : lo + ds - 1]))
-        lo += ds - 1
-    ds, rest = deg[hi - 1], deg[lo : hi - 1]
-    specs.append(SubtreeSpec(BASE, ds, rest, filler_leaves=ds - len(rest)))
-    return specs
+    return [SubtreeSpec(*chain) for chain in _chains(d)][::-1]
 
 
 def materialize(spec: SubtreeSpec) -> RootedSubtree:
@@ -145,25 +150,27 @@ def merge_at(t: Tree, s: RootedSubtree, leaf: int) -> Tree:
 
 def construct_max_tree(d: DegreeSequence) -> Tree:
     """Lay out the base, then each chain back to front at the attachment
-    site, and relabel by BFS from the base root.  Ids before the relabel
-    are those materialize + merge_once give: a chain root takes the chosen
-    leaf's id, its other vertices the next free ids in materialize order.
+    site, and relabel by BFS from the base root.  The subtrees are _chains'
+    slices of the sorted degrees, with no SubtreeSpec; an entry below 2
+    raises EntryBelowTwoError.  Ids before the relabel are those
+    materialize + merge_once give: a chain root takes the chosen leaf's id,
+    its other vertices the next free ids in materialize order.
 
     A leaf's key (neighbor degree, id) is fixed once it is laid out, and
     ids are handed out in ascending order, so the leaves of one neighbor
     degree wait in one FIFO queue of leaf runs, already in key order: the
     attachment site is the head of the queue of the smallest waiting degree.
     That degree never decreases, so a cursor over the sorted distinct
-    degrees finds it: a spec keys its leaves by its children's degrees (the
-    base's filler leaves by its root's), and the chains, laid out back to
-    front, take their children from the high end of the sorted degrees, so
-    each spec's keys are at least every earlier spec's.
+    degrees finds it: a subtree keys its leaves by its children's degrees
+    (the base's filler leaves by its root's), and the chains, laid out back
+    to front, take their children from the high end of the sorted degrees,
+    so each subtree's keys are at least every earlier subtree's.
 
     The layout already stores every vertex's children in final order, by
     non-increasing degree, then id:
-    - decompose takes chain roots from the low end of the sorted degrees
+    - _chains takes chain roots from the low end of the sorted degrees
       and children from the high end, so a chain root's degree is at most
-      any child's, and a spec root's children get lower ids than the
+      any child's, and a subtree root's children get lower ids than the
       filler leaves laid out beside them;
     - a parent's leaves share one key, so those taken as chain roots are a
       prefix of its leaf run, taken in id order;
@@ -183,19 +190,18 @@ def construct_max_tree(d: DegreeSequence) -> Tree:
     runs: defaultdict[int, deque[range]] = defaultdict(deque)  # key degree -> leaf runs
     keys, k = sorted(set(d.degrees)), 0  # keys[k]: the smallest key with a leaf waiting
     root = 0
-    for spec in reversed(decompose(d)):
+    for _, rdeg, degs, f in _chains(d):
         if len(adj) > 1:  # a chain: its root takes the first waiting leaf
             while not (q := runs[keys[k]]):
                 k += 1
             root, q[0] = q[0][0], q[0][1:]
             if not q[0]:
                 q.popleft()
-        degs, f = spec.child_degrees, spec.filler_leaves
         c = len(adj)
         lo = c + len(degs) + f
         adj[root] = (*adj[root], *range(c, lo))
         if f:  # the base's filler leaves wait under the base root's degree
-            runs[spec.root_degree].append(range(lo - f, lo))
+            runs[rdeg].append(range(lo - f, lo))
         for cdeg in degs:
             hi = lo + cdeg - 1
             adj.append((root, *range(lo, hi)))

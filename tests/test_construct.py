@@ -3,10 +3,13 @@ import random
 from heapq import heappop, heappush
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sombortree import construct
 from sombortree.graph import (
+    DegreeSequence,
+    EntryBelowTwoError,
     NoLeavesError,
     Tree,
     canonical_form,
@@ -17,6 +20,7 @@ from sombortree.construct import (
     BASE,
     CHAIN,
     SubtreeSpec,
+    _chains,
     attachment_site,
     construct_max_tree,
     decompose,
@@ -105,6 +109,54 @@ def test_decompose_partitions_degrees(d):
     assert sorted(used, reverse=True) == list(d.degrees)
     assert specs[-1].kind == BASE
     assert all(s.kind == CHAIN for s in specs[:-1])
+
+
+def spec_fields(spec):
+    return spec.kind, spec.root_degree, spec.child_degrees, spec.filler_leaves
+
+
+def worklist_decompose(d):
+    """decompose's docstring run literally on a list: pop the smallest
+    degree as a chain root while it fits, its children the largest left."""
+    rest = list(d.degrees)
+    out = []
+    while rest[-1] <= len(rest) - 2:
+        ds = rest.pop()
+        out.append((CHAIN, ds, tuple(rest[: ds - 1]), 0))
+        del rest[: ds - 1]
+    ds = rest.pop()
+    out.append((BASE, ds, tuple(rest), ds - len(rest)))
+    return out
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(2, 12), min_size=1, max_size=80),
+        st.lists(st.integers(2, 300), min_size=1, max_size=300),
+        st.integers(2, 60).map(lambda k: [k]),  # the star
+        st.integers(1, 60).map(lambda m: [2] * m),  # the path
+    )
+)
+@example([10**6] * 3 + [2] * 3)  # chains only: construct would lay out 3M vertices
+@settings(max_examples=200, deadline=None)
+def test_chains_walk_is_decompose_reversed(degrees):
+    # the back-to-front walk construct_max_tree reads is decompose, field for
+    # field, in reverse; both follow the worklist, which shares no code
+    d = validate(degrees)
+    specs = [spec_fields(s) for s in decompose(d)]
+    assert specs == worklist_decompose(d)
+    assert list(_chains(d)) == specs[::-1]
+
+
+@pytest.mark.parametrize("degrees", [(3, 1), (4, 3, 1, 1), (2, 1), (1,), (2, 2, 2, 0)])
+def test_entry_below_two_raises(degrees):
+    # a DegreeSequence built directly skips validate; building anyway would
+    # give, for (3, 1), the star on 4 vertices, which realises (3,)
+    d = DegreeSequence(degrees)
+    with pytest.raises(EntryBelowTwoError):
+        construct_max_tree(d)
+    with pytest.raises(EntryBelowTwoError):
+        decompose(d)
 
 
 # -- materialize -------------------------------------------------------------
@@ -413,3 +465,26 @@ def test_smallest_waiting_degree_never_decreases():
 def test_construct_skips_a_gap_in_the_degrees(big):
     # the cursor walks the distinct degrees, so it jumps from 2 to big
     assert_matches_relabel_reference(validate([big] * 3 + [2] * 3))
+
+
+def test_construct_builds_no_subtree_spec(monkeypatch):
+    # construct_max_tree reads _chains' slices: with SubtreeSpec raising it
+    # still builds every tree with n <= 12 and a seeded m = 2,000 one, equal
+    # to the references built through decompose before the patch
+    from sombortree.sweep import generate_degree_sequences
+
+    rng = random.Random(2000)
+    seqs = [validate([])] + generate_degree_sequences(12)
+    seqs.append(validate([rng.randint(2, 40) for _ in range(2000)]))
+    refs = [relabel_reference(d) for d in seqs]
+
+    def no_spec(*args, **kwargs):
+        raise AssertionError("construct_max_tree built a SubtreeSpec")
+
+    monkeypatch.setattr(construct, "SubtreeSpec", no_spec)
+    with pytest.raises(AssertionError):
+        decompose(validate([3, 2, 2]))  # the patch takes hold
+    for d, ref in zip(seqs, refs):
+        t = construct_max_tree(d)
+        assert t == ref
+        assert t.internal_degrees() == d.degrees
