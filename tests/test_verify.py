@@ -281,6 +281,21 @@ def test_skeleton_scan_matches_permutation_walk():
     assert walked == 9_732
 
 
+def test_placement_code_matches_canonical_form():
+    # canonical_form renumbers the skeleton by its own BFS from the center;
+    # the placement's numbering must give the same code, and the tree built
+    # here the same tree as the oracle's _hang_leaves
+    seen, bicentral = 0, 0
+    for d in sequences_to(14):
+        for _, key in _skeleton_scan(d):
+            tree = _hang_leaves(key)
+            assert tree == placement_tree(key)
+            assert _placement_code(key) == canonical_form(tree), key
+            seen += 1
+            bicentral += len(tree_centers(tree.adj)) == 2
+    assert (seen, bicentral) == (9_732, 4_356)
+
+
 def test_placement_code_matches_recursive_reference():
     # an independent reference for the oracle's codes: the recursive AHU
     # code of each placement's tree, at both centers when there are two;
