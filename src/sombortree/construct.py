@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from sombortree.graph import (
     DegreeSequence,
-    EntryBelowTwoError,
     InvalidTreeError,
     Tree,
     leaf_layer_profile,
@@ -64,9 +63,7 @@ def _chains(d: DegreeSequence):
     """Yield (kind, root degree, child-degree slice, filler leaves) for the
     base, then each chain back to front, as construct_max_tree lays them
     out; decompose's loop, on integers only, finds the base's slice."""
-    deg = d.degrees  # non-increasing
-    if min(deg) < 2:
-        raise EntryBelowTwoError(f"internal degree {min(deg)} < 2")
+    deg = d.degrees  # non-increasing, all >= 2: DegreeSequence sorts and checks
     lo, hi = 0, len(deg)
     while deg[hi - 1] <= hi - lo - 2:
         hi -= 1
@@ -151,10 +148,10 @@ def merge_at(t: Tree, s: RootedSubtree, leaf: int) -> Tree:
 def construct_max_tree(d: DegreeSequence) -> Tree:
     """Lay out the base, then each chain back to front at the attachment
     site, and relabel by BFS from the base root.  The subtrees are _chains'
-    slices of the sorted degrees, with no SubtreeSpec; an entry below 2
-    raises EntryBelowTwoError.  Ids before the relabel are those
-    materialize + merge_once give: a chain root takes the chosen leaf's id,
-    its other vertices the next free ids in materialize order.
+    slices of the sorted degrees, with no SubtreeSpec.  Ids before the
+    relabel are those materialize + merge_once give: a chain root takes the
+    chosen leaf's id, its other vertices the next free ids in materialize
+    order.
 
     A leaf's key (neighbor degree, id) is fixed once it is laid out, and
     ids are handed out in ascending order, so the leaves of one neighbor

@@ -2,8 +2,8 @@
 
 Trees are undirected, labeled with dense 0-based vertex ids, and immutable
 after construction.  A degree sequence here lists only the degrees of
-internal (non-leaf) vertices, non-increasing; the leaf count follows from
-the handshake lemma.
+internal (non-leaf) vertices, which DegreeSequence keeps non-increasing;
+the leaf count follows from the handshake lemma.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ class DegreeSequenceError(ValueError):
 
 class EntryBelowTwoError(DegreeSequenceError):
     """An internal vertex was declared with degree < 2."""
-
-
-class InfeasibleError(DegreeSequenceError):
-    """The implied leaf count violates the handshake lemma (L < 2)."""
 
 
 class NoLeavesError(ValueError):
@@ -127,12 +123,20 @@ class Tree:
 
 @dataclass(frozen=True)
 class DegreeSequence:
-    """Non-increasing internal-vertex degrees; the problem instance.
+    """Internal-vertex degrees, the problem instance: stored sorted
+    non-increasing, every entry at least 2 (else EntryBelowTwoError), so
+    the leaf count is at least 2.
 
     The empty sequence denotes the 2-vertex tree (single edge).
     """
 
     degrees: tuple[int, ...]
+
+    def __post_init__(self):
+        ds = tuple(sorted(self.degrees, reverse=True))
+        if ds and ds[-1] < 2:
+            raise EntryBelowTwoError(f"internal degree {next(x for x in ds if x < 2)} < 2")
+        object.__setattr__(self, "degrees", ds)
 
     @property
     def m(self) -> int:
@@ -151,19 +155,8 @@ class DegreeSequence:
 
 
 def validate(degrees) -> DegreeSequence:
-    """Normalize raw integers into a feasible DegreeSequence.
-
-    Sorts non-increasing; rejects entries below 2 and sequences whose
-    implied leaf count violates the handshake lemma.
-    """
-    ds = tuple(sorted((int(d) for d in degrees), reverse=True))
-    for d in ds:
-        if d < 2:
-            raise EntryBelowTwoError(f"internal degree {d} < 2")
-    seq = DegreeSequence(ds)
-    if seq.leaf_count < 2:
-        raise InfeasibleError(f"degree sequence {ds} implies {seq.leaf_count} leaves")
-    return seq
+    """The DegreeSequence of raw integers, which sorts and checks them."""
+    return DegreeSequence(tuple(int(d) for d in degrees))
 
 
 @dataclass(frozen=True)

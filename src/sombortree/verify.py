@@ -168,7 +168,7 @@ def _skeleton_scan(d: DegreeSequence):
         key = ((-1,), [0], (1,))
         yield sombor_index(_hang_leaves(key)), key
         return
-    need = list(d.degrees)  # non-increasing
+    need = list(d.degrees)  # non-increasing: DegreeSequence sorts them
     W = weight_table(need + [1])
     vals = sorted(set(need))
     for parent in free_trees(m):
@@ -604,7 +604,9 @@ class AttachmentProfile:
 
 
 def attachment_profile(t: Tree, s: RootedSubtree) -> AttachmentProfile:
-    """SO of merging s at every leaf of t, with the monotonicity checks."""
+    """SO of merging s at every leaf of t, with the monotonicity checks
+    (NoLeavesError on the one-vertex tree, from leaf_layer_profile)."""
+    l1m = set(leaf_layer_profile(t).l1m_leaves)
     entries = []
     for leaf in t.leaves():
         nb = t.adj[leaf][0]
@@ -623,7 +625,6 @@ def attachment_profile(t: Tree, s: RootedSubtree) -> AttachmentProfile:
     reps = [by_degree[g][0] for g in sorted(by_degree)]
     mono_ok = all(reps[i] >= reps[i + 1] for i in range(len(reps) - 1))
     best = max(e.so for e in entries)
-    l1m = set(leaf_layer_profile(t).l1m_leaves)
     l1m_ok = all(e.so == best for e in entries if e.leaf in l1m)
     return AttachmentProfile(tuple(entries), ties_ok, mono_ok, l1m_ok)
 

@@ -150,13 +150,27 @@ def test_chains_walk_is_decompose_reversed(degrees):
 
 @pytest.mark.parametrize("degrees", [(3, 1), (4, 3, 1, 1), (2, 1), (1,), (2, 2, 2, 0)])
 def test_entry_below_two_raises(degrees):
-    # a DegreeSequence built directly skips validate; building anyway would
-    # give, for (3, 1), the star on 4 vertices, which realises (3,)
-    d = DegreeSequence(degrees)
+    # the check lives in DegreeSequence, so no sequence construct_max_tree or
+    # decompose can be given holds one; building anyway would give, for
+    # (3, 1), the star on 4 vertices, which realises (3,)
     with pytest.raises(EntryBelowTwoError):
-        construct_max_tree(d)
-    with pytest.raises(EntryBelowTwoError):
-        decompose(d)
+        DegreeSequence(degrees)
+
+
+def test_unsorted_degrees_construct_the_sorted_tree():
+    # built directly, not through validate: unsorted, this list once gave
+    # SO 126.98528242337683 against 129.58687174268195 sorted
+    raw = construct_max_tree(DegreeSequence((2, 3, 5, 5, 4, 6, 5)))
+    assert raw == construct_max_tree(validate([6, 5, 5, 5, 4, 3, 2]))
+    assert sombor_index(raw) == 129.58687174268195
+
+
+def test_shuffled_lists_construct_the_sorted_tree():
+    rng = random.Random(3)
+    for _ in range(2000):
+        raw = [rng.randint(2, 6) for _ in range(rng.randint(1, 12))]
+        ordered = DegreeSequence(tuple(sorted(raw, reverse=True)))
+        assert construct_max_tree(DegreeSequence(tuple(raw))) == construct_max_tree(ordered), raw
 
 
 # -- materialize -------------------------------------------------------------

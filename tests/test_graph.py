@@ -340,6 +340,21 @@ def test_degree_sequence_str():
     assert str(DegreeSequence((3, 2, 2))) == "3,2,2"
 
 
+def test_degree_sequence_sorts_its_degrees():
+    d = DegreeSequence([2, 5, 3, 5])
+    assert d.degrees == (5, 5, 3, 2)
+    assert d == DegreeSequence((5, 5, 3, 2)) == validate([3, 2, 5, 5])
+    assert DegreeSequence(()).degrees == ()
+
+
+@pytest.mark.parametrize("degrees", [(3, 1, -3, 0), (0, 1), (-3,), (2, 2, 2, 0)])
+def test_degree_sequence_names_first_entry_below_two(degrees):
+    # the first in non-increasing order: the largest entry below 2
+    first = max(x for x in degrees if x < 2)
+    with pytest.raises(EntryBelowTwoError, match=rf"^internal degree {first} < 2$"):
+        DegreeSequence(degrees)
+
+
 def _eccentricity(adj, v):
     """Distance from v to its farthest vertex: the number of BFS levels."""
     seen = {v}

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from sombortree.graph import (
     REL_TOL,
+    DegreeSequence,
     InvalidTreeError,
+    NoLeavesError,
     Tree,
     _bfs,
     canonical_form,
@@ -406,6 +408,25 @@ def test_oracle_single_edge():
     assert not capped.capped and capped.enumerated == 1
     assert capped.max_so == math.sqrt(2)
     assert capped.witnesses == res.witnesses
+
+
+def test_unsorted_degrees_give_the_sorted_oracle():
+    # built directly, not through validate: unsorted, the admissibility
+    # filter once dropped a maximiser and reported 83.45358021216622, exact
+    raw = oracle_max(DegreeSequence((2, 2, 5, 4, 3, 3, 5)))
+    assert raw == oracle_max(validate([5, 5, 4, 3, 3, 2, 2]))
+    assert raw.max_so == 83.54782349807991
+    assert len(raw.witnesses) == 2 and not raw.capped
+
+
+def test_shuffled_sequences_give_the_sorted_results(audit_n12):
+    rng = random.Random(12)
+    for degrees, (_, constructed, oracle) in audit_n12.items():
+        raw = list(degrees)
+        rng.shuffle(raw)
+        d = DegreeSequence(tuple(raw))
+        assert oracle_max(d) == oracle, raw
+        assert construct_max_tree(d) == constructed, raw
 
 
 def test_oracle_json_embeds_witness_trees():
@@ -923,7 +944,39 @@ def test_33332_maximizer_breaks_alternation_both_ways():
     assert _oriented_count(relabeled) == 0
 
 
+def test_constructed_trees_have_no_oriented_violations():
+    # every constructed tree with n <= 16, then seeded lists at m = 10^2 and
+    # 10^3, whose raw counts the leaf ids inflate
+    seqs = generate_degree_sequences(16)
+    assert sum(_oriented_count(construct_max_tree(d)) for d in seqs) == 0
+    for m, raw in [(100, 13_528), (1000, 1_782_304)]:
+        rng = random.Random(7)
+        t = construct_max_tree(validate([rng.randint(3, 5) for _ in range(m)]))
+        assert check_theorem1(t).violations == raw
+        assert _oriented_count(t) == 0
+
+
+def test_no_non_maximal_placement_passes_the_oriented_count():
+    # the oriented count separates: every skeleton placement with n <= 14
+    # that the maximum exceeds has at least one oriented violation
+    beaten = 0
+    for d in generate_degree_sequences(14):
+        scored = list(_skeleton_scan(d))
+        best = max(so for so, _ in scored)
+        for so, key in scored:
+            if exceeds(best, so):
+                beaten += 1
+                assert _oriented_count(_hang_leaves(key)) > 0, (d, key)
+    assert beaten == 9_139
+
+
 # -- attachment profile ------------------------------------------------------
+
+
+def test_attachment_profile_single_vertex_has_no_leaves():
+    sub = materialize(SubtreeSpec("chain", 2, (3,)))
+    with pytest.raises(NoLeavesError):
+        attachment_profile(Tree.from_edges(1, []), sub)
 
 
 def test_attachment_star_base_all_equal():
