@@ -19,7 +19,7 @@ for i, spec in enumerate(specs, 1):
     print(f"  T{i}: {spec.kind} root_degree={spec.root_degree} "
           f"children={spec.child_degrees} fillers={spec.filler_leaves}")
 
-t = materialize(specs[-1]).tree
+t = materialize(specs[-1])
 print(f"base: n={t.n}  SO={sombor_index(t):.6f}")
 for spec in reversed(specs[:-1]):
     leaf = attachment_site(t)

@@ -52,13 +52,6 @@ class SubtreeSpec:
             raise ValueError(f"inconsistent {self.kind} subtree spec: {self}")
 
 
-@dataclass(frozen=True)
-class RootedSubtree:
-    tree: Tree
-    root: int
-    assigned_root_degree: int
-
-
 def _chains(d: DegreeSequence):
     """Yield (kind, root degree, child-degree slice, filler leaves) for the
     base, then each chain back to front, as construct_max_tree lays them
@@ -89,29 +82,19 @@ def decompose(d: DegreeSequence) -> list[SubtreeSpec]:
     return [SubtreeSpec(*chain) for chain in _chains(d)][::-1]
 
 
-def materialize(spec: SubtreeSpec) -> RootedSubtree:
-    """Build the rooted subtree for a spec.
+def materialize(spec: SubtreeSpec) -> Tree:
+    """Build the rooted subtree for a spec, its root at vertex 0.
 
     Vertex ids go in BFS order from the root, children ordered by
     non-increasing degree (filler leaves last); each internal child of
     degree c carries c - 1 leaf children.
     """
-    edges = []
-    next_id = 1
-    child_ids = []
-    for _ in spec.child_degrees:
-        edges.append((0, next_id))
-        child_ids.append(next_id)
-        next_id += 1
-    for _ in range(spec.filler_leaves):
-        edges.append((0, next_id))
-        next_id += 1
-    for cid, cdeg in zip(child_ids, spec.child_degrees):
-        for _ in range(cdeg - 1):
-            edges.append((cid, next_id))
-            next_id += 1
-    tree = Tree.from_edges(next_id, edges)
-    return RootedSubtree(tree=tree, root=0, assigned_root_degree=spec.root_degree)
+    k = len(spec.child_degrees) + spec.filler_leaves
+    edges = [(0, c) for c in range(1, k + 1)]
+    for cid, cdeg in enumerate(spec.child_degrees, 1):
+        for _ in range(cdeg - 1):  # the next free id: one more than the edges
+            edges.append((cid, len(edges) + 1))
+    return Tree.from_edges(len(edges) + 1, edges)
 
 
 def attachment_site(t: Tree) -> int:
@@ -120,8 +103,8 @@ def attachment_site(t: Tree) -> int:
     return leaf_layer_profile(t).l1m_leaves[0]
 
 
-def merge_once(t: Tree, s: RootedSubtree) -> Tree:
-    """Identify s's root with the attachment site of t.
+def merge_once(t: Tree, s: Tree) -> Tree:
+    """Identify s's root, vertex 0, with the attachment site of t.
 
     Realized as leaf replacement: the chosen leaf's id is taken over by
     the subtree root, so the attachment neighbor's degree is unchanged and
@@ -130,19 +113,15 @@ def merge_once(t: Tree, s: RootedSubtree) -> Tree:
     return merge_at(t, s, attachment_site(t))
 
 
-def merge_at(t: Tree, s: RootedSubtree, leaf: int) -> Tree:
-    """Merge s into t at an explicit leaf of t."""
+def merge_at(t: Tree, s: Tree, leaf: int) -> Tree:
+    """Merge s into t at an explicit leaf of t: s's root, vertex 0, takes
+    the leaf's id, and its vertex v > 0 takes t.n + v - 1."""
     if t.degree(leaf) != 1:
         raise ValueError(f"vertex {leaf} is not a leaf")
-    remap = {s.root: leaf}
-    next_id = t.n
-    for v in range(s.tree.n):
-        if v != s.root:
-            remap[v] = next_id
-            next_id += 1
-    edges = t.edges()
-    edges.extend((remap[u], remap[v]) for u, v in s.tree.edges())
-    return Tree.from_edges(next_id, edges)
+    off = t.n - 1
+    edges = t.edges()  # s.edges() has u < v, so only u can be the root
+    edges.extend((u + off if u else leaf, v + off) for u, v in s.edges())
+    return Tree.from_edges(t.n + s.n - 1, edges)
 
 
 def construct_max_tree(d: DegreeSequence) -> Tree:

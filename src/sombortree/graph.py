@@ -155,8 +155,13 @@ class DegreeSequence:
 
 
 def validate(degrees) -> DegreeSequence:
-    """The DegreeSequence of raw integers, which sorts and checks them."""
-    return DegreeSequence(tuple(int(d) for d in degrees))
+    """The DegreeSequence of raw integers, which sorts and checks them; an
+    entry int() would change, such as 2.5 or "3", is a DegreeSequenceError."""
+    raw = tuple(degrees)
+    ds = tuple(map(int, raw))
+    if bad := [x for x, d in zip(raw, ds) if d != x]:
+        raise DegreeSequenceError(f"degree {bad[0]!r} is not an integer")
+    return DegreeSequence(ds)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ class SweepRecord:
 
     @classmethod
     def from_row(cls, row: list[str]) -> "SweepRecord":
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"{len(row)} cells, expected {len(CSV_HEADER)}")
         return cls(*(_READ[f.type](x) for f, x in zip(fields(cls), row)))
 
 
@@ -41,11 +43,17 @@ def _b(flag: bool) -> str:
     return "true" if flag else "false"
 
 
+def _read_b(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"bool cell {text!r} is neither true nor false")
+    return text == "true"
+
+
 # One CSV column per field, in field order, formatted by the field's type
 # (a string here, under `from __future__ import annotations`).
 CSV_HEADER = [f.name for f in fields(SweepRecord)]
 _WRITE = {"bool": _b, "float": _fmt}
-_READ = {"bool": lambda text: text == "true", "float": float, "int": int, "str": str}
+_READ = {"bool": _read_b, "float": float, "int": int, "str": str}
 
 
 def generate_degree_sequences(max_n: int) -> list[DegreeSequence]:
@@ -156,9 +164,16 @@ def write_csv(records: list[SweepRecord], path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> list[SweepRecord]:
+    """The records of a CSV as write_csv writes it; a ValueError naming the
+    path and line on any other file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header in {path}: {header}")
-        return [SweepRecord.from_row(row) for row in reader]
+        if next(reader, None) != CSV_HEADER:
+            raise ValueError(f"{path}, line 1: not the header {','.join(CSV_HEADER)}")
+        records = []
+        for row in reader:
+            try:
+                records.append(SweepRecord.from_row(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+        return records

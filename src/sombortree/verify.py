@@ -39,11 +39,7 @@ from sombortree.graph import (
     sombor_index,
     weight_table,
 )
-from sombortree.construct import (
-    RootedSubtree,
-    construct_max_tree,
-    merge_at,
-)
+from sombortree.construct import construct_max_tree, merge_at
 
 _SAMPLE_TRIES = 300  # draws before the annealer gives up on finding a swap
 
@@ -603,8 +599,8 @@ class AttachmentProfile:
         )
 
 
-def attachment_profile(t: Tree, s: RootedSubtree) -> AttachmentProfile:
-    """SO of merging s at every leaf of t, with the monotonicity checks
+def attachment_profile(t: Tree, s: Tree) -> AttachmentProfile:
+    """SO of merging s (root 0) at every leaf of t, with the monotonicity checks
     (NoLeavesError on the one-vertex tree, from leaf_layer_profile)."""
     l1m = set(leaf_layer_profile(t).l1m_leaves)
     entries = []

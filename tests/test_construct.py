@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from heapq import heappop, heappush
@@ -178,23 +179,23 @@ def test_shuffled_lists_construct_the_sorted_tree():
 
 def test_materialize_chain():
     sub = materialize(SubtreeSpec(CHAIN, 2, (5,)))
-    assert sub.tree.n == 6
-    assert sub.tree.degree(sub.root) == 1  # one slot reserved for the merge
-    assert sub.assigned_root_degree == 2
-    assert sub.tree.degree(1) == 5
+    assert sub.n == 6
+    assert sub.degree(0) == 1  # one slot reserved for the merge
+    assert sub.degree(0) + 1 == 2  # the chain root after its merge
+    assert sub.degree(1) == 5
 
 
 def test_materialize_paper_base():
     sub = materialize(SubtreeSpec(BASE, 3, (5, 4, 3)))
-    assert sub.tree.n == 13
-    assert sub.tree.degree(sub.root) == 3
-    assert sorted(sub.tree.degree(c) for c in sub.tree.adj[0]) == [3, 4, 5]
+    assert sub.n == 13
+    assert sub.degree(0) == 3
+    assert sorted(sub.degree(c) for c in sub.adj[0]) == [3, 4, 5]
 
 
 def test_materialize_base_with_filler_is_p4():
     sub = materialize(SubtreeSpec(BASE, 2, (2,), filler_leaves=1))
-    assert canonical_form(sub.tree) == canonical_form(path_tree(4))
-    assert sub.tree.degree(sub.root) == 2
+    assert canonical_form(sub) == canonical_form(path_tree(4))
+    assert sub.degree(0) == 2
 
 
 @given(degree_sequences())
@@ -206,7 +207,7 @@ def test_leaf_bookkeeping(d):
     for s in specs:
         sub = materialize(s)
         total_leaves += sum(
-            1 for v in sub.tree.leaves() if v != sub.root
+            1 for v in sub.leaves() if v != 0
         )
     assert total_leaves == d.leaf_count + (len(specs) - 1)
 
@@ -219,7 +220,7 @@ def test_attachment_site_star():
 
 
 def test_attachment_site_paper_base():
-    base = materialize(SubtreeSpec(BASE, 3, (5, 4, 3))).tree
+    base = materialize(SubtreeSpec(BASE, 3, (5, 4, 3)))
     leaf = attachment_site(base)
     assert base.degree(base.adj[leaf][0]) == 3
 
@@ -237,7 +238,7 @@ def test_attachment_site_single_vertex_has_no_leaves():
 
 
 def test_merge_paper_first_step():
-    base = materialize(SubtreeSpec(BASE, 3, (5, 4, 3))).tree
+    base = materialize(SubtreeSpec(BASE, 3, (5, 4, 3)))
     leaf = attachment_site(base)
     anchor = base.adj[leaf][0]
     merged = merge_once(base, materialize(SubtreeSpec(CHAIN, 2, (5,))))
@@ -250,7 +251,7 @@ def test_merge_paper_first_step():
 
 
 def test_merge_all_twos_gives_p6():
-    base = materialize(SubtreeSpec(BASE, 2, (2,), filler_leaves=1)).tree
+    base = materialize(SubtreeSpec(BASE, 2, (2,), filler_leaves=1))
     merged = merge_once(base, materialize(SubtreeSpec(CHAIN, 2, (2,))))
     assert canonical_form(merged) == canonical_form(path_tree(6))
 
@@ -262,11 +263,83 @@ def test_merge_into_star_is_leaf_symmetric():
     assert len(codes) == 1
 
 
+def dict_merge_at(t, s, leaf):
+    """merge_at as it read when it mapped s's ids through a dict: the
+    reference for the ids merge_at gives."""
+    if t.degree(leaf) != 1:
+        raise ValueError(f"vertex {leaf} is not a leaf")
+    remap = {0: leaf}
+    next_id = t.n
+    for v in range(s.n):
+        if v != 0:
+            remap[v] = next_id
+            next_id += 1
+    edges = t.edges()
+    edges.extend((remap[u], remap[v]) for u, v in s.edges())
+    return Tree.from_edges(next_id, edges)
+
+
+@st.composite
+def host_trees(draw, max_n=12):
+    n = draw(st.integers(2, max_n))
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    return prufer_to_tree(seq, n)
+
+
+@st.composite
+def subtree_specs(draw):
+    if draw(st.booleans()):
+        children = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
+        return SubtreeSpec(CHAIN, len(children) + 1, children)
+    children = tuple(draw(st.lists(st.integers(2, 5), max_size=4)))
+    fillers = draw(st.integers(0 if children else 1, 3))
+    return SubtreeSpec(BASE, len(children) + fillers, children, fillers)
+
+
+@given(host_trees(), subtree_specs())
+@settings(max_examples=200)
+def test_merge_at_ids_match_dict_reference(host, spec):
+    sub = materialize(spec)
+    for leaf in host.leaves():
+        assert merge_at(host, sub, leaf) == dict_merge_at(host, sub, leaf)
+    for v in range(host.n):
+        if host.degree(v) != 1:
+            with pytest.raises(ValueError, match="not a leaf"):
+                merge_at(host, sub, v)
+
+
+# SHA-256 over to_json() of every intermediate tree of the stepwise
+# construction, recorded when materialize wrapped its tree and merge_at
+# mapped ids through a dict.
+STEPWISE_IDS = "118e184fe025003db53028a41fb3c488798b93fe095c94d68296dceb24442f22"
+
+
+def test_stepwise_ids_are_pinned():
+    # the base, then the tree after each merge_once, for all 271 sequences
+    # with n <= 14: 535 trees, ids as materialize and merge_at give them
+    from sombortree.sweep import generate_degree_sequences
+
+    seqs = generate_degree_sequences(14)
+    assert len(seqs) == 271
+    h = hashlib.sha256()
+    count = 0
+    for d in seqs:
+        specs = decompose(d)
+        t = materialize(specs[-1])
+        h.update(t.to_json().encode())
+        for spec in reversed(specs[:-1]):
+            t = merge_once(t, materialize(spec))
+            h.update(t.to_json().encode())
+        count += len(specs)
+    assert count == 535
+    assert h.hexdigest() == STEPWISE_IDS
+
+
 @given(degree_sequences(max_n=10))
 @settings(max_examples=100)
 def test_merge_keeps_host_neighbor_degree(d):
     specs = decompose(d)
-    t = materialize(specs[-1]).tree
+    t = materialize(specs[-1])
     for spec in reversed(specs[:-1]):
         leaf = attachment_site(t)
         anchor = t.adj[leaf][0]
@@ -327,7 +400,7 @@ def reference_construct(d):
     each chain back to front, relabel by BFS from vertex 0 visiting children
     by (-degree, id)."""
     specs = decompose(d)
-    t = materialize(specs[-1]).tree
+    t = materialize(specs[-1])
     for spec in reversed(specs[:-1]):
         t = merge_once(t, materialize(spec))
     order, seen = [0], {0}
@@ -429,7 +502,7 @@ def test_last_merge_site_beats_alternatives():
         specs = decompose(d)
         if len(specs) < 2:
             continue
-        host = materialize(specs[-1]).tree
+        host = materialize(specs[-1])
         for spec in reversed(specs[1:-1]):
             host = merge_once(host, materialize(spec))
         final = materialize(specs[0])
@@ -444,7 +517,7 @@ def stepwise_site_degrees(d):
     chain at: materialize the base, then merge each chain back to front at
     attachment_site, as merge_once does."""
     specs = decompose(d)
-    t = materialize(specs[-1]).tree
+    t = materialize(specs[-1])
     taken = []
     for spec in reversed(specs[:-1]):
         leaf = attachment_site(t)

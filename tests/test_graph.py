@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sombortree.graph import (
     DegreeSequence,
+    DegreeSequenceError,
     EntryBelowTwoError,
     InvalidTreeError,
     NoLeavesError,
@@ -179,6 +180,22 @@ def test_validate_normalizes_order():
     assert validate([2, 5, 3]).degrees == (5, 3, 2)
 
 
+@pytest.mark.parametrize(
+    "degrees, named",
+    [([2.5, 3], "2.5"), (["3", "2"], "'3'"), ([3, 2, 2.0, 4.75, 0.5], "4.75")],
+)
+def test_validate_rejects_non_integers(degrees, named):
+    # int() once truncated 2.5 to 2 and read "3" as 3; the first entry that
+    # int() changes is named
+    with pytest.raises(DegreeSequenceError, match=f"degree {named} is not"):
+        validate(degrees)
+
+
+def test_validate_reads_integral_floats():
+    assert validate([3.0, 2]).degrees == (3, 2)
+    assert all(type(x) is int for x in validate([3.0, 2.0]).degrees)
+
+
 @given(random_trees(min_n=3))
 @settings(max_examples=100)
 def test_validate_roundtrip_with_tree_degrees(t):
@@ -239,7 +256,7 @@ def test_profile_p4():
 
 
 def test_profile_paper_base():
-    base = materialize(SubtreeSpec("base", 3, (5, 4, 3))).tree
+    base = materialize(SubtreeSpec("base", 3, (5, 4, 3)))
     p = leaf_layer_profile(base)
     assert p.d_min == 3
     # exactly the two leaves hanging off the degree-3 child

@@ -100,3 +100,40 @@ def test_enumerated_counts_labeled_trees_or_scored_placements():
     exact, _, _ = evaluate_sequence(d)
     assert (capped.capped, capped.enumerated) == (True, 2)
     assert (exact.capped, exact.enumerated) == (False, 12)
+
+
+def write_lines(path, *rows):
+    path.write_text("".join(row + "\n" for row in rows))
+    return path
+
+
+GOOD_ROW = '"3,2,2",6,3,22.9,22.9,0,true,false,true,0,12'
+
+
+def test_read_csv_reads_a_good_row(tmp_path):
+    [rec] = read_csv(write_lines(tmp_path / "r.csv", ",".join(CSV_HEADER), GOOD_ROW))
+    assert (rec.degrees, rec.optimal, rec.capped, rec.enumerated) == ("3,2,2", True, False, 12)
+
+
+@pytest.mark.parametrize(
+    "row, why",
+    [
+        (GOOD_ROW + ",7", "12 cells, expected 11"),  # an extra cell
+        (GOOD_ROW.rsplit(",", 1)[0], "10 cells, expected 11"),  # one cell short
+        (GOOD_ROW.replace("true", "yes", 1), "'yes' is neither true nor false"),
+        (GOOD_ROW.replace("true", "True", 1), "'True' is neither true nor false"),
+    ],
+    ids=["extra-cell", "short-row", "bool-yes", "bool-True"],
+)
+def test_read_csv_names_path_and_line_of_a_bad_row(tmp_path, row, why):
+    path = write_lines(tmp_path / "r.csv", ",".join(CSV_HEADER), GOOD_ROW, row)
+    with pytest.raises(ValueError) as info:
+        read_csv(path)
+    assert str(info.value).startswith(f"{path}, line 3: ")
+    assert why in str(info.value)
+
+
+def test_read_csv_rejects_an_empty_file(tmp_path):
+    path = write_lines(tmp_path / "r.csv")
+    with pytest.raises(ValueError, match=r"r\.csv, line 1: not the header"):
+        read_csv(path)

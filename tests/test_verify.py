@@ -989,7 +989,7 @@ def test_attachment_star_base_all_equal():
 
 
 def test_attachment_paper_base_deltas():
-    base = materialize(SubtreeSpec("base", 3, (5, 4, 3))).tree
+    base = materialize(SubtreeSpec("base", 3, (5, 4, 3)))
     sub = materialize(SubtreeSpec("chain", 2, (5,)))
     profile = attachment_profile(base, sub)
     by_deg = {e.neighbor_degree: e.so for e in profile.entries}
