@@ -6,9 +6,10 @@ front by identifying each chain root with a leaf whose neighbor has the
 minimum leaf-adjacent degree.
 
 _chains walks the subtrees back to front; decompose wraps that walk in
-SubtreeSpecs, and construct_max_tree reads it in one pass over one
-growing adjacency.  materialize, merge_once and attachment_site are the
-same steps on whole Trees, one merge at a time, checked by Tree.from_edges.
+SubtreeSpecs, and construct_max_tree reads it in one pass that lays out
+only the internal vertices, each with a count of its leaves.  materialize,
+merge_once and attachment_site are the same steps on whole Trees, one
+merge at a time, checked by Tree.from_edges.
 """
 
 from __future__ import annotations
@@ -127,82 +128,74 @@ def merge_at(t: Tree, s: Tree, leaf: int) -> Tree:
 def construct_max_tree(d: DegreeSequence) -> Tree:
     """Lay out the base, then each chain back to front at the attachment
     site, and relabel by BFS from the base root.  The subtrees are _chains'
-    slices of the sorted degrees, with no SubtreeSpec.  Ids before the
-    relabel are those materialize + merge_once give: a chain root takes the
-    chosen leaf's id, its other vertices the next free ids in materialize
-    order.
+    slices of the sorted degrees, with no SubtreeSpec.  The layout holds
+    only the m internal vertices, each as its internal children plus a
+    count of the leaves still hanging on it; a chain root takes one of
+    those leaves, as merge_once does, and joins the internal children.
 
-    A leaf's key (neighbor degree, id) is fixed once it is laid out, and
-    ids are handed out in ascending order, so the leaves of one neighbor
-    degree wait in one FIFO queue of leaf runs, already in key order: the
-    attachment site is the head of the queue of the smallest waiting degree.
-    That degree never decreases, so a cursor over the sorted distinct
-    degrees finds it: a subtree keys its leaves by its children's degrees
-    (the base's filler leaves by its root's), and the chains, laid out back
-    to front, take their children from the high end of the sorted degrees,
-    so each subtree's keys are at least every earlier subtree's.
+    In materialize + merge_once ids, a leaf's key (neighbor degree, id) is
+    fixed once it is laid out, a vertex's leaves have consecutive ids, and
+    ids are handed out in ascending order.  So the vertices with a leaf
+    waiting queue in one FIFO per neighbor degree, already in key order:
+    the attachment site is a leaf of the head of the queue of the smallest
+    waiting degree.  That degree never decreases, so a cursor over the
+    sorted distinct degrees finds it: a subtree keys its leaves by its
+    children's degrees (the base's filler leaves by its root's), and the
+    chains, laid out back to front, take their children from the high end
+    of the sorted degrees, so each subtree's keys are at least every
+    earlier subtree's.
 
-    The layout already stores every vertex's children in final order, by
-    non-increasing degree, then id:
+    The layout already holds every vertex's children in final order, by
+    non-increasing degree, then id: internal ones as they joined, then
+    the leaves.
     - _chains takes chain roots from the low end of the sorted degrees
       and children from the high end, so a chain root's degree is at most
-      any child's, and a subtree root's children get lower ids than the
-      filler leaves laid out beside them;
-    - a parent's leaves share one key, so those taken as chain roots are a
-      prefix of its leaf run, taken in id order;
+      any child's, and a subtree root's children come before the filler
+      leaves laid out beside them;
+    - a parent's leaves share one key, so they are taken in id order;
     - chains are laid out by non-increasing root degree.
-    So the BFS takes children as stored, internal ones first, and walks
-    only the internal vertices.  It gives each vertex's children the next
-    free ids, so adjacency tuples come out sorted and the Tree is built as
-    is, once the degrees sum to 2n - 2 and the BFS numbers all n vertices
-    (else InvalidTreeError): a leaf stored before an internal sibling would
-    cut the walk short of that sibling's subtree.
+    So the BFS walks only the internal vertices and gives each one's
+    children the next free ids, its leaves a range sharing one parent
+    tuple.  Adjacency tuples come out sorted and the Tree is built as is,
+    once the BFS numbers all n vertices, m of them internal (else
+    InvalidTreeError).
 
     The empty sequence gives the single edge; m = 1 gives the star.
     """
     if d.m == 0:
         return Tree.from_edges(2, [(0, 1)])
-    adj: list[tuple[int, ...]] = [()]  # a non-root vertex's tuple starts with its parent
-    runs: defaultdict[int, deque[range]] = defaultdict(deque)  # key degree -> leaf runs
+    kids: list[list[int]] = []  # layout id -> its internal children
+    left: list[int] = []  # layout id -> the leaves still hanging on it
+    waiting: defaultdict[int, deque[int]] = defaultdict(deque)  # key degree -> vertices, FIFO
     keys, k = sorted(set(d.degrees)), 0  # keys[k]: the smallest key with a leaf waiting
-    root = 0
     for _, rdeg, degs, f in _chains(d):
-        if len(adj) > 1:  # a chain: its root takes the first waiting leaf
-            while not (q := runs[keys[k]]):
+        root = len(kids)
+        if root:  # a chain: its root takes the first waiting leaf
+            while not (q := waiting[keys[k]]):
                 k += 1
-            root, q[0] = q[0][0], q[0][1:]
-            if not q[0]:
+            kids[q[0]].append(root)
+            left[q[0]] -= 1
+            if not left[q[0]]:
                 q.popleft()
-        c = len(adj)
-        lo = c + len(degs) + f
-        adj[root] = (*adj[root], *range(c, lo))
+        kids.append(list(range(root + 1, root + 1 + len(degs))))
+        left.append(f)
         if f:  # the base's filler leaves wait under the base root's degree
-            runs[rdeg].append(range(lo - f, lo))
+            waiting[rdeg].append(root)
         for cdeg in degs:
-            hi = lo + cdeg - 1
-            adj.append((root, *range(lo, hi)))
-            runs[cdeg].append(range(lo, hi))
-            lo = hi
-        adj += [(root,)] * f
-        for cdeg in degs:
-            adj += [(c,)] * (cdeg - 1)
-            c += 1
-    n = len(adj)
+            waiting[cdeg].append(len(kids))
+            kids.append([])
+            left.append(cdeg - 1)
+    n = d.vertex_count
     out = [()] * n  # final adjacency: (parent, *children) by final id
     inner, ids = [0], [0]  # layout and final ids of the internal vertices, in BFS order
     nxt = 1
-    for _, i, v in zip(range(n), ids, inner):  # at most n visits, even on a bad layout
-        kids = adj[v][1:] if i else adj[v]
-        lo = j = nxt
-        nxt += len(kids)
-        out[lo:nxt] = [(i,)] * len(kids)
+    for i, v in zip(ids, inner):
+        lo = nxt
+        nxt += len(kids[v]) + left[v]
+        out[lo:nxt] = [(i,)] * (nxt - lo)
         out[i] += tuple(range(lo, nxt))
-        for u in kids:  # internal children come first
-            if len(adj[u]) == 1:
-                break
-            inner.append(u)
-            ids.append(j)
-            j += 1
-    if nxt != n or sum(map(len, adj)) != 2 * n - 2:
+        inner += kids[v]
+        ids += range(lo, lo + len(kids[v]))
+    if nxt != n or len(inner) != d.m:
         raise InvalidTreeError(f"the layout on {n} vertices is not a tree")
     return Tree(n, tuple(out))

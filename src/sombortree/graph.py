@@ -154,13 +154,25 @@ class DegreeSequence:
         return ",".join(str(d) for d in self.degrees)
 
 
+def _is_integer(x) -> bool:
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def validate(degrees) -> DegreeSequence:
     """The DegreeSequence of raw integers, which sorts and checks them; an
-    entry int() would change, such as 2.5 or "3", is a DegreeSequenceError."""
+    entry int() would change or refuses, such as 2.5, "3", "abc", None or
+    inf, is a DegreeSequenceError naming it."""
     raw = tuple(degrees)
-    ds = tuple(map(int, raw))
-    if bad := [x for x, d in zip(raw, ds) if d != x]:
-        raise DegreeSequenceError(f"degree {bad[0]!r} is not an integer")
+    try:
+        ds = tuple(map(int, raw))
+    except (TypeError, ValueError, OverflowError):
+        ds = None
+    if ds != raw:
+        bad = next(x for x in raw if not _is_integer(x))
+        raise DegreeSequenceError(f"degree {bad!r} is not an integer")
     return DegreeSequence(ds)
 
 

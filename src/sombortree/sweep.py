@@ -26,7 +26,7 @@ class SweepRecord:
     enumerated: int
 
     def to_row(self) -> list[str]:
-        return [_WRITE.get(f.type, str)(getattr(self, f.name)) for f in fields(self)]
+        return [write(getattr(self, name)) for name, write in _COLUMNS]
 
     @classmethod
     def from_row(cls, row: list[str]) -> "SweepRecord":
@@ -53,6 +53,7 @@ def _read_b(text: str) -> bool:
 # (a string here, under `from __future__ import annotations`).
 CSV_HEADER = [f.name for f in fields(SweepRecord)]
 _WRITE = {"bool": _b, "float": _fmt}
+_COLUMNS = [(f.name, _WRITE.get(f.type, str)) for f in fields(SweepRecord)]
 _READ = {"bool": _read_b, "float": float, "int": int, "str": str}
 
 

@@ -23,9 +23,9 @@ import math
 import random
 import sys
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
 from math import factorial
 
 from sombortree.graph import (
@@ -531,8 +531,10 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     degree tuple and shared, read only, by the table entries of every
     path that has it.  The table keeps only those entries, no path; the
     counts need no record, since each ordered support pair's violations
-    count once per leaf pair on it (lower-id leaf first).  ``violating``
-    walks the paths again and builds the records on first read.
+    count once per leaf pair on it (lower-id leaf first), summed once per
+    run of consecutive leaf ids on one support (a constructed tree has one
+    run per support).  ``violating`` walks the paths again and builds the
+    records on first read.
     """
     leaves = t.leaves()
     paths = len(leaves) * (len(leaves) - 1) // 2
@@ -543,9 +545,9 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     count = list(Counter(support).items())  # (support, its leaf count)
     skeleton = _skeleton(t.adj, deg)
     pairs_for = {}  # interior length -> _path_pairs of it, for this call only
-    hits_for = {}  # degrees along a support path, from its start -> violated entries
+    hits_for = {}  # degrees from u up to s -> violated entries from u, then from s
     checked = 0
-    table = {}  # s -> {u: violated entries on the support path s..u}
+    table = defaultdict(dict)  # s -> {u: violated entries on the support path s..u}
     for x, (s, cs) in enumerate(count):
         parent = _bfs(skeleton, s)[1]
         for u, cu in count[x:]:
@@ -556,19 +558,20 @@ def check_theorem1(t: Tree) -> Theorem1Report:
             if (pairs := pairs_for.get(len(along))) is None:
                 pairs = pairs_for[len(along)] = _path_pairs(len(along))
             checked += (cs * (cs - 1) // 2 if s == u else cs * cu) * len(pairs)
-            # both orientations: from u to s, then from s to u
-            for a, b, key in ((u, s, tuple(along)), (s, u, tuple(along[::-1]))):
-                hits = hits_for.get(key)
-                if hits is None:
-                    degs = (1, *key)
-                    hits = hits_for[key] = [e for e in pairs if degs[e[3]] < degs[e[4]]]
+            if (both := hits_for.get(key := tuple(along))) is None:  # from u, then from s
+                both = hits_for[key] = [[e for e in pairs if p[e[3]] < p[e[4]]]
+                                        for p in ((1, *key), (1, *key[::-1]))]
+            for a, b, hits in zip((u, s), (s, u), both):
                 if hits:
-                    table.setdefault(a, {})[b] = hits
-    violations, later = 0, Counter()  # the supports of the leaves after this one
-    for s in reversed(support):  # from the highest leaf id down
-        violations += sum(later[u] * len(h) for u, h in table.get(s, {}).items())
-        later[s] += 1
-    return Theorem1Report(t, paths, checked, violations, table)
+                    table[a][b] = hits
+    # a run's own pairs add none: their interior is s alone, and d(v1) >= d(v1)
+    violations, later = 0, Counter()  # the supports of the leaves after this run
+    for s, run in groupby(reversed(support)):  # from the highest leaf id down
+        c = len(list(run))
+        if row := table.get(s):
+            violations += c * sum(later[u] * len(h) for u, h in row.items())
+        later[s] += c
+    return Theorem1Report(t, paths, checked, violations, dict(table))
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +657,9 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
     of the first 100 valid swaps drawn.  The tree is kept as its edge list
     and its parent array rooted at 0, fixed in place on each accept.  The
     start's index is the fsum of its edge weights (sombor_index's bits),
-    and its parent array is read off its adjacency: construct_max_tree
-    numbers vertices in BFS order from 0, so a parent is a first neighbor.
+    its parent array is read off its adjacency and its edges off that:
+    construct_max_tree numbers vertices in BFS order from 0, so a parent
+    is a first neighbor and (parent, child) by child id is start.edges().
 
     One loop draws every swap, for the temperature and for the moves: edge
     indices i, j and a recombination r, each by getrandbits plus rejection,
@@ -671,13 +675,13 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
     start = construct_max_tree(d)
     deg = start.degrees()
     W = weight_table(deg)
-    edges = start.edges()
-    start_so = math.fsum([W[deg[a]][deg[b]] for a, b in edges])  # sombor_index(start)
-    if budget == 0 or start.n == 2:  # a lone edge has no swap
-        return AnnealResult(start, start_so, start_so, 0, 0)
-
     n = start.n
     parent = [-1, *(ns[0] for ns in start.adj[1:])]  # start's ids are its BFS order from 0
+    edges = list(zip(parent[1:], range(1, n)))  # start.edges(), in its order
+    start_so = math.fsum([W[deg[a]][deg[b]] for a, b in edges])  # sombor_index(start)
+    if budget == 0 or n == 2:  # a lone edge has no swap
+        return AnnealResult(start, start_so, start_so, 0, 0)
+
     ne = len(edges)
     bits, k = rng.getrandbits, ne.bit_length()
     rand, exp = rng.random, math.exp

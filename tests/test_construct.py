@@ -11,6 +11,7 @@ from sombortree import construct
 from sombortree.graph import (
     DegreeSequence,
     EntryBelowTwoError,
+    InvalidTreeError,
     NoLeavesError,
     Tree,
     canonical_form,
@@ -552,6 +553,23 @@ def test_smallest_waiting_degree_never_decreases():
 def test_construct_skips_a_gap_in_the_degrees(big):
     # the cursor walks the distinct degrees, so it jumps from 2 to big
     assert_matches_relabel_reference(validate([big] * 3 + [2] * 3))
+
+
+@pytest.mark.parametrize("degrees", [[3, 3], [5, 5, 5, 4, 3, 3, 2, 2], [4] * 40])
+def test_construct_rejects_a_walk_that_drops_a_child(monkeypatch, degrees):
+    # the layout is checked, not trusted: a walk whose last subtree (the
+    # base when there is no chain) drops its last child lays out one
+    # internal vertex and its leaves too few, and the BFS count says so
+    walk = construct._chains
+
+    def dropping(d):
+        *subtrees, (kind, rdeg, degs, f) = walk(d)
+        yield from subtrees
+        yield kind, rdeg, degs[:-1], f
+
+    monkeypatch.setattr(construct, "_chains", dropping)
+    with pytest.raises(InvalidTreeError):
+        construct_max_tree(validate(degrees))
 
 
 def test_construct_builds_no_subtree_spec(monkeypatch):

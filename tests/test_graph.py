@@ -191,6 +191,23 @@ def test_validate_rejects_non_integers(degrees, named):
         validate(degrees)
 
 
+@pytest.mark.parametrize(
+    "degrees, named",
+    [
+        ([3, "abc", 2], "'abc'"),  # int() raised ValueError
+        ([3, None], "None"),  # TypeError
+        ([float("inf"), 3], "inf"),  # OverflowError
+        ([3, 2, float("nan")], "nan"),  # ValueError
+        ([3, 2.5, None], "2.5"),  # the first bad entry, changed or refused
+    ],
+)
+def test_validate_rejects_entries_int_refuses(degrees, named):
+    # int()'s own error once passed through; it is a DegreeSequenceError
+    # naming the entry, as for an entry int() changes
+    with pytest.raises(DegreeSequenceError, match=f"degree {named} is not"):
+        validate(degrees)
+
+
 def test_validate_reads_integral_floats():
     assert validate([3.0, 2]).degrees == (3, 2)
     assert all(type(x) is int for x in validate([3.0, 2.0]).degrees)

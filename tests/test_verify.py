@@ -1207,9 +1207,12 @@ def test_unbeaten_anneal_returns_constructed_tree(monkeypatch):
 
 def assert_anneal_start_read_off(d, seed):
     # anneal_search roots the constructed tree at 0 by reading each vertex's
-    # parent off its first neighbor, and sums the start's index itself
+    # parent off its first neighbor, reads its edges off those parents, and
+    # sums the start's index itself
     t = construct_max_tree(d)
-    assert _bfs(t.adj, 0)[1] == [-1, *(ns[0] for ns in t.adj[1:])]
+    parent = [-1, *(ns[0] for ns in t.adj[1:])]
+    assert _bfs(t.adj, 0)[1] == parent
+    assert list(zip(parent[1:], range(1, t.n))) == t.edges()
     assert anneal_search(d, 1, seed).start_so.hex() == sombor_index(t).hex()
 
 
