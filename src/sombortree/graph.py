@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Relative tolerance under which two Sombor values are considered equal.
 REL_TOL = 1e-9
@@ -176,8 +177,7 @@ def validate(degrees) -> DegreeSequence:
     return DegreeSequence(ds)
 
 
-@dataclass(frozen=True)
-class LeafLayerProfile:
+class LeafLayerProfile(NamedTuple):
     """L1 vertices with degrees, their minimum degree, and the L1^m leaves."""
 
     l1_vertices: tuple[tuple[int, int], ...]  # (vertex, degree), sorted by id
@@ -185,8 +185,7 @@ class LeafLayerProfile:
     l1m_leaves: tuple[int, ...]  # sorted by id
 
 
-@dataclass(frozen=True)
-class DegreePath:
+class DegreePath(NamedTuple):
     """A leaf-to-leaf path with the degrees along it."""
 
     vertices: tuple[int, ...]

@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from sombortree.graph import DegreeSequence, exceeds
 from sombortree.construct import construct_max_tree
 from sombortree.verify import check_theorem1, is_local_max, oracle_max
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     degrees: str  # comma-joined
     n: int
     m: int
@@ -26,13 +24,13 @@ class SweepRecord:
     enumerated: int
 
     def to_row(self) -> list[str]:
-        return [write(getattr(self, name)) for name, write in _COLUMNS]
+        return [write(x) for write, x in zip(_WRITERS, self)]
 
     @classmethod
     def from_row(cls, row: list[str]) -> "SweepRecord":
         if len(row) != len(CSV_HEADER):
             raise ValueError(f"{len(row)} cells, expected {len(CSV_HEADER)}")
-        return cls(*(_READ[f.type](x) for f, x in zip(fields(cls), row)))
+        return cls._make(read(x) for read, x in zip(_READERS, row))
 
 
 def _fmt(x: float) -> str:
@@ -49,12 +47,13 @@ def _read_b(text: str) -> bool:
     return text == "true"
 
 
-# One CSV column per field, in field order, formatted by the field's type
-# (a string here, under `from __future__ import annotations`).
-CSV_HEADER = [f.name for f in fields(SweepRecord)]
-_WRITE = {"bool": _b, "float": _fmt}
-_COLUMNS = [(f.name, _WRITE.get(f.type, str)) for f in fields(SweepRecord)]
-_READ = {"bool": _read_b, "float": float, "int": int, "str": str}
+# One CSV column per field, in field order, written and read by the field's
+# type: under `from __future__ import annotations` NamedTuple keeps each as
+# a ForwardRef to the type's name.
+CSV_HEADER = list(SweepRecord._fields)
+_TYPES = [SweepRecord.__annotations__[name].__forward_arg__ for name in CSV_HEADER]
+_WRITERS = [{"bool": _b, "float": _fmt}.get(t, str) for t in _TYPES]
+_READERS = [{"bool": _read_b, "float": float, "int": int, "str": str}[t] for t in _TYPES]
 
 
 def generate_degree_sequences(max_n: int) -> list[DegreeSequence]:
@@ -154,6 +153,8 @@ def sweep(
 
 
 def write_csv(records: list[SweepRecord], path: str | Path) -> None:
+    import csv
+
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -167,6 +168,8 @@ def write_csv(records: list[SweepRecord], path: str | Path) -> None:
 def read_csv(path: str | Path) -> list[SweepRecord]:
     """The records of a CSV as write_csv writes it; a ValueError naming the
     path and line on any other file."""
+    import csv
+
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != CSV_HEADER:

@@ -27,6 +27,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import groupby, islice
 from math import factorial
+from typing import NamedTuple
 
 from sombortree.graph import (
     DegreeSequence,
@@ -135,8 +136,7 @@ def _parents(level: list[int]) -> tuple[int, ...]:
 # Exhaustive oracle
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Exact maximum over all trees realizing a degree sequence."""
 
     max_so: float
@@ -265,8 +265,7 @@ def oracle_max(d: DegreeSequence, cap: int | None = None) -> OracleResult:
 # 2-swap neighborhood
 
 
-@dataclass(frozen=True)
-class SwapMove:
+class SwapMove(NamedTuple):
     """Degree-preserving exchange of two vertex-disjoint edges.
 
     recombination 0 pairs (a,c),(b,d); recombination 1 pairs (a,d),(b,c),
@@ -307,13 +306,12 @@ def apply_swap(t: Tree, move: SwapMove) -> Tree:
     return Tree.from_edges(t.n, edges)
 
 
-@dataclass(frozen=True)
-class LocalMaxReport:
+class LocalMaxReport(NamedTuple):
     is_local_max: bool
     base_so: float
     best_move: SwapMove | None
     best_delta: float
-    validity_tests: int = field(default=0, compare=False)  # disjoint pairs tested
+    validity_tests: int = 0  # disjoint pairs tested; takes part in ==, not in to_dict
 
     def to_dict(self) -> dict:
         out = {
@@ -411,8 +409,7 @@ def is_local_max(t: Tree) -> LocalMaxReport:
 # Path-inequality reporter
 
 
-@dataclass(frozen=True)
-class PathInequalityRecord:
+class PathInequalityRecord(NamedTuple):
     path: tuple[int, ...]
     i: int
     parity: str  # "odd" | "even"
@@ -549,22 +546,26 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     checked = 0
     table = defaultdict(dict)  # s -> {u: violated entries on the support path s..u}
     for x, (s, cs) in enumerate(count):
+        # the leaf pairs on s alone have interior s: one entry, d(v1) >= d(v1)
+        checked += cs * (cs - 1) // 2
         parent = _bfs(skeleton, s)[1]
-        for u, cu in count[x:]:
+        for u, cu in count[x + 1 :]:
             along, v = [deg[u]], u  # degrees from u up to s
             while v != s:
                 v = parent[v]
                 along.append(deg[v])
             if (pairs := pairs_for.get(len(along))) is None:
                 pairs = pairs_for[len(along)] = _path_pairs(len(along))
-            checked += (cs * (cs - 1) // 2 if s == u else cs * cu) * len(pairs)
+            checked += cs * cu * len(pairs)
             if (both := hits_for.get(key := tuple(along))) is None:  # from u, then from s
                 both = hits_for[key] = [[e for e in pairs if p[e[3]] < p[e[4]]]
                                         for p in ((1, *key), (1, *key[::-1]))]
-            for a, b, hits in zip((u, s), (s, u), both):
-                if hits:
-                    table[a][b] = hits
-    # a run's own pairs add none: their interior is s alone, and d(v1) >= d(v1)
+            hu, hs = both
+            if hu:
+                table[u][s] = hu
+            if hs:
+                table[s][u] = hs
+    # no table row holds its own support, so a run's own pairs add no violation
     violations, later = 0, Counter()  # the supports of the leaves after this run
     for s, run in groupby(reversed(support)):  # from the highest leaf id down
         c = len(list(run))
@@ -578,16 +579,14 @@ def check_theorem1(t: Tree) -> Theorem1Report:
 # Attachment-site profiling
 
 
-@dataclass(frozen=True)
-class AttachmentEntry:
+class AttachmentEntry(NamedTuple):
     leaf: int
     neighbor: int
     neighbor_degree: int
     so: float
 
 
-@dataclass(frozen=True)
-class AttachmentProfile:
+class AttachmentProfile(NamedTuple):
     entries: tuple[AttachmentEntry, ...]
     equal_degree_ties_ok: bool  # same neighbor degree => bit-identical SO
     non_increasing_ok: bool  # SO non-increasing in neighbor degree
@@ -632,8 +631,7 @@ def attachment_profile(t: Tree, s: Tree) -> AttachmentProfile:
 # Simulated annealing
 
 
-@dataclass(frozen=True)
-class AnnealResult:
+class AnnealResult(NamedTuple):
     best_tree: Tree
     best_so: float
     start_so: float

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
+from sombortree import graph, verify
 from sombortree.graph import validate
 from sombortree.sweep import (
     CSV_HEADER,
@@ -137,3 +139,48 @@ def test_read_csv_rejects_an_empty_file(tmp_path):
     path = write_lines(tmp_path / "r.csv")
     with pytest.raises(ValueError, match=r"r\.csv, line 1: not the header"):
         read_csv(path)
+
+
+# The plain result records, with their fields in order.
+RECORD_FIELDS = {
+    graph.LeafLayerProfile: ("l1_vertices", "d_min", "l1m_leaves"),
+    graph.DegreePath: ("vertices", "degrees"),
+    verify.OracleResult: ("max_so", "enumerated", "witnesses", "capped", "witness_trees"),
+    verify.SwapMove: ("edge_a", "edge_b", "recombination"),
+    verify.LocalMaxReport: ("is_local_max", "base_so", "best_move", "best_delta", "validity_tests"),
+    verify.PathInequalityRecord: (
+        "path", "i", "parity", "inequality", "lhs_degree", "rhs_degree", "holds"
+    ),
+    verify.AttachmentEntry: ("leaf", "neighbor", "neighbor_degree", "so"),
+    verify.AttachmentProfile: (
+        "entries", "equal_degree_ties_ok", "non_increasing_ok", "l1m_attains_max_ok"
+    ),
+    verify.AnnealResult: ("best_tree", "best_so", "start_so", "moves", "accepted"),
+    SweepRecord: (
+        "degrees", "n", "m", "constructed_so", "oracle_so", "gap", "optimal", "capped",
+        "local_max", "theorem1_violations", "enumerated",
+    ),
+}
+
+
+def field_names(cls):
+    if dataclasses.is_dataclass(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+    return cls._fields
+
+
+@pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_records_keep_their_fields_and_reject_assignment(cls):
+    names = field_names(cls)
+    assert names == RECORD_FIELDS[cls]
+    rec = cls(*range(len(names)))
+    for i, name in enumerate(names):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, -1)
+        assert getattr(rec, name) == i
+    with pytest.raises(AttributeError):
+        rec.extra = 0
+
+
+def test_sweep_record_fields_are_the_csv_header():
+    assert field_names(SweepRecord) == tuple(CSV_HEADER)

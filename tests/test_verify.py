@@ -851,9 +851,10 @@ def test_theorem1_builds_records_only_for_violations(monkeypatch):
     built = []
 
     class CountedRecord(PathInequalityRecord):
-        def __init__(self, **fields):
-            super().__init__(**fields)
+        def __new__(cls, **fields):
+            self = super().__new__(cls, **fields)
             built.append(self)
+            return self
 
     monkeypatch.setattr(verify, "PathInequalityRecord", CountedRecord)
     report = check_theorem1(construct_max_tree(validate([5, 5, 5, 4, 3, 3, 2, 2])))
