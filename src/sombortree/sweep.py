@@ -170,14 +170,14 @@ def read_csv(path: str | Path) -> list[SweepRecord]:
     path and line on any other file."""
     import csv
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != CSV_HEADER:
-            raise ValueError(f"{path}, line 1: not the header {','.join(CSV_HEADER)}")
-        records = []
-        for row in reader:
-            try:
-                records.append(SweepRecord.from_row(row))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-        return records
+    with open(path, "rb") as fh:
+        # one line decoded per read, so a decode error is on the line after
+        # the reader's count; "\r\n" stays in the line, as newline="" keeps it
+        reader = csv.reader(line.decode() for line in fh)
+        try:
+            if next(reader, None) != CSV_HEADER:
+                raise ValueError(f"not the header {','.join(CSV_HEADER)}")
+            return [SweepRecord.from_row(row) for row in reader]
+        except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+            line = max(1, reader.line_num + isinstance(exc, UnicodeDecodeError))
+            raise ValueError(f"{path}, line {line}: {exc}") from None

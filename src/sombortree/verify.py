@@ -11,9 +11,11 @@ by degree class: the 2-swap scan scores each pair of edge classes once
 and tests validity, O(1) on preorder intervals, only within class pairs
 that could beat the best; the path-inequality check scores each degree
 pattern between two leaf supports once, keeps only violated entries and
-walks a path again only when its records are read.  The 2-swap scan and
-the annealer are tested against the brute-force neighbourhood in
-tests/swaps.py.
+walks a path again only when its records are read.  The attachment
+checker builds no merged tree: one fsum per distinct neighbor degree of
+the host's leaves, over the host's and the subtree's edge weights, in
+O(n).  The 2-swap scan and the annealer are tested against the
+brute-force neighbourhood in tests/swaps.py.
 """
 
 from __future__ import annotations
@@ -31,16 +33,16 @@ from typing import NamedTuple
 
 from sombortree.graph import (
     DegreeSequence,
+    NoLeavesError,
     Tree,
     _bfs,
     _placement_code,
     _skeleton,
     exceeds,
-    leaf_layer_profile,
     sombor_index,
     weight_table,
 )
-from sombortree.construct import construct_max_tree, merge_at
+from sombortree.construct import construct_max_tree
 
 _SAMPLE_TRIES = 300  # draws before the annealer gives up on finding a swap
 
@@ -419,15 +421,7 @@ class PathInequalityRecord(NamedTuple):
     holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "path": list(self.path),
-            "i": self.i,
-            "parity": self.parity,
-            "inequality": self.inequality,
-            "lhs_degree": self.lhs_degree,
-            "rhs_degree": self.rhs_degree,
-            "holds": self.holds,
-        }
+        return {**self._asdict(), "path": list(self.path)}
 
 
 def _path_pairs(k: int) -> tuple[tuple[int, int, int, int, int], ...]:
@@ -602,29 +596,32 @@ class AttachmentProfile(NamedTuple):
 
 
 def attachment_profile(t: Tree, s: Tree) -> AttachmentProfile:
-    """SO of merging s (root 0) at every leaf of t, with the monotonicity checks
-    (NoLeavesError on the one-vertex tree, from leaf_layer_profile)."""
-    l1m = set(leaf_layer_profile(t).l1m_leaves)
-    entries = []
-    for leaf in t.leaves():
-        nb = t.adj[leaf][0]
-        merged = merge_at(t, s, leaf)
-        entries.append(
-            AttachmentEntry(leaf, nb, t.degree(nb), sombor_index(merged))
-        )
-    # Leaves with one neighbor degree give merged trees with one multiset of
-    # edge weights, and fsum is correctly rounded, so their values are equal
-    # bits; rounding is monotone, so it keeps the true order.  Every check
-    # is exact.
-    by_degree: dict[int, list[float]] = {}
-    for e in entries:
-        by_degree.setdefault(e.neighbor_degree, []).append(e.so)
-    ties_ok = all(len(set(vals)) == 1 for vals in by_degree.values())
-    reps = [by_degree[g][0] for g in sorted(by_degree)]
-    mono_ok = all(reps[i] >= reps[i + 1] for i in range(len(reps) - 1))
-    best = max(e.so for e in entries)
-    l1m_ok = all(e.so == best for e in entries if e.leaf in l1m)
-    return AttachmentProfile(tuple(entries), ties_ok, mono_ok, l1m_ok)
+    """SO of merging s (root 0) at every leaf of t, with the monotonicity
+    checks, in O(n) and with no tree built.
+
+    Merging s at a leaf whose neighbor has degree g turns that leaf's edge
+    from W[g][1] into W[g][r], r one more than the degree of s's root, and
+    adds s's edges.  So one list holds the weights of t's edges and of s's
+    (its root at degree r), and one fsum per distinct g adds W[g][r] and
+    -W[g][1] to it: fsum is correctly rounded, so each value has the bits
+    of sombor_index(merge_at(t, s, leaf)).  Every leaf with one g gets
+    that one value, so equal_degree_ties_ok holds by construction; rounding
+    is monotone, so it keeps the true order and both other checks are
+    exact.  The L1^m leaves are those next to the least g.
+    """
+    if t.n == 1:
+        raise NoLeavesError("single-vertex tree has no leaves")
+    deg, sdeg = t.degrees(), (s.degree(0) + 1, *s.degrees()[1:])
+    W, r = weight_table(deg + sdeg), sdeg[0]
+    rest = [W[deg[u]][deg[v]] for u, v in t.edges()]
+    rest += [W[sdeg[u]][sdeg[v]] for u, v in s.edges()]
+    nb = {a: t.adj[a][0] for a in t.leaves()}
+    gs = sorted({deg[v] for v in nb.values()})
+    so = {g: math.fsum([*rest, W[g][r], -W[g][1]]) for g in gs}
+    entries = tuple(AttachmentEntry(a, v, deg[v], so[deg[v]]) for a, v in nb.items())
+    reps = list(so.values())  # by increasing neighbor degree
+    mono_ok = all(a >= b for a, b in zip(reps, reps[1:]))
+    return AttachmentProfile(entries, True, mono_ok, reps[0] == max(reps))
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,30 @@ def test_read_csv_rejects_an_empty_file(tmp_path):
         read_csv(path)
 
 
+def test_read_csv_names_path_and_line_of_an_oversized_cell(tmp_path):
+    # past csv.field_size_limit (128 kB) the csv module raises csv.Error,
+    # which is not a ValueError
+    big = GOOD_ROW.replace("22.9", "2" * 200_000, 1)
+    path = write_lines(tmp_path / "r.csv", ",".join(CSV_HEADER), GOOD_ROW, big)
+    with pytest.raises(ValueError) as info:
+        read_csv(path)
+    assert str(info.value).startswith(f"{path}, line 3: field larger than field limit")
+
+
+@pytest.mark.parametrize(
+    "lead",
+    [b"\xff", ",".join(CSV_HEADER).encode() + b"\r\n\xff"],
+    ids=["first-byte", "after-the-header"],
+)
+def test_read_csv_names_path_and_line_of_bytes_that_do_not_decode(tmp_path, lead):
+    path = tmp_path / "r.csv"
+    path.write_bytes(lead + b"rest\r\n")
+    with pytest.raises(ValueError) as info:
+        read_csv(path)
+    line = lead.count(b"\n") + 1
+    assert str(info.value).startswith(f"{path}, line {line}: 'utf-8' codec can't decode byte 0xff")
+
+
 # The plain result records, with their fields in order.
 RECORD_FIELDS = {
     graph.LeafLayerProfile: ("l1_vertices", "d_min", "l1m_leaves"),

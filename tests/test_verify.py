@@ -20,6 +20,7 @@ from sombortree.graph import (
     _bfs,
     canonical_form,
     exceeds,
+    leaf_layer_profile,
     leaf_to_leaf_paths,
     sombor_index,
     tree_centers,
@@ -30,10 +31,13 @@ from sombortree.construct import (
     SubtreeSpec,
     construct_max_tree,
     materialize,
+    merge_at,
 )
 from sombortree import verify
 from sombortree.sweep import generate_degree_sequences
 from sombortree.verify import (
+    AttachmentEntry,
+    AttachmentProfile,
     LocalMaxReport,
     PathInequalityRecord,
     SwapMove,
@@ -1023,6 +1027,57 @@ def test_attachment_non_increasing(host, root_degree, data):
     assert profile.non_increasing_ok
     assert profile.equal_degree_ties_ok
     assert profile.l1m_attains_max_ok
+
+
+def merged_profile(t: Tree, s: Tree) -> AttachmentProfile:
+    """The reference attachment profile: one merged tree scored per leaf,
+    the flags regrouped by neighbor degree, L1^m from leaf_layer_profile."""
+    l1m = set(leaf_layer_profile(t).l1m_leaves)
+    entries = tuple(
+        AttachmentEntry(a, t.adj[a][0], t.degree(t.adj[a][0]), sombor_index(merge_at(t, s, a)))
+        for a in t.leaves()
+    )
+    by_degree: dict[int, list[float]] = {}
+    for e in entries:
+        by_degree.setdefault(e.neighbor_degree, []).append(e.so)
+    reps = [by_degree[g][0] for g in sorted(by_degree)]
+    best = max(e.so for e in entries)
+    return AttachmentProfile(
+        entries,
+        all(len(set(vals)) == 1 for vals in by_degree.values()),
+        all(reps[i] >= reps[i + 1] for i in range(len(reps) - 1)),
+        all(e.so == best for e in entries if e.leaf in l1m),
+    )
+
+
+def profile_bits(p: AttachmentProfile):
+    return [(*e[:3], e.so.hex()) for e in p.entries], p[1:]
+
+
+def test_attachment_profile_matches_merging_at_each_leaf():
+    rng = random.Random(30)
+    single = Tree.from_edges(1, [])
+    pairs = []
+    for n in range(1, 16):
+        for _ in range(12):
+            host = prufer_to_tree([rng.randrange(n) for _ in range(n - 2)], n) if n > 1 else single
+            k = rng.choice([1, 1, 2, 3, 5, 7])  # one vertex a third of the time
+            sub = prufer_to_tree([rng.randrange(k) for _ in range(k - 2)], k) if k > 1 else single
+            pairs.append((host, sub))
+    rng = random.Random(20260826)  # criterion 5's draws
+    for _ in range(1000):
+        n = rng.randrange(4, 11)
+        host = prufer_to_tree([rng.randrange(n) for _ in range(n - 2)], n)
+        root_degree = rng.randrange(2, 6)
+        children = sorted((rng.randrange(2, 7) for _ in range(root_degree - 1)), reverse=True)
+        pairs.append((host, materialize(SubtreeSpec("chain", root_degree, tuple(children)))))
+    for host, sub in pairs:
+        if host.n == 1:
+            with pytest.raises(NoLeavesError):
+                attachment_profile(host, sub)
+        else:
+            got, want = attachment_profile(host, sub), merged_profile(host, sub)
+            assert profile_bits(got) == profile_bits(want), (host, sub)
 
 
 # -- annealing ---------------------------------------------------------------
