@@ -660,8 +660,9 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
     indices i, j and a recombination r, each by getrandbits plus rejection,
     the same bits rng.randrange draws, so the run is reproducible from the
     seed.  A draw is kept when i, j are disjoint edges and r is their one
-    valid recombination (a walk up the parent array); _SAMPLE_TRIES
-    draws in a row without a kept one end the warm-up, or the search.
+    valid recombination (walks up the parent array, from internal child ends
+    only: 2-swaps keep degrees); a for-else ends the warm-up, or the search,
+    after _SAMPLE_TRIES draws in a row without a kept one.
     A negative budget raises ValueError.
     """
     if budget < 0:
@@ -674,61 +675,65 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
     parent = [-1, *(ns[0] for ns in start.adj[1:])]  # start's ids are its BFS order from 0
     edges = list(zip(parent[1:], range(1, n)))  # start.edges(), in its order
     start_so = math.fsum([W[deg[a]][deg[b]] for a, b in edges])  # sombor_index(start)
-    if budget == 0 or n == 2:  # a lone edge has no swap
+    if budget == 0 or d.m < 2:  # under two internal vertices: no disjoint edges
         return AnnealResult(start, start_so, start_so, 0, 0)
 
     ne = len(edges)
     bits, k = rng.getrandbits, ne.bit_length()
     rand, exp = rng.random, math.exp
+    row = [W[g] for g in deg]  # row[v][g]: weight of an edge from v to degree g
 
     deltas = []  # |delta| of the warm-up swaps, None once temp is set
     cur_so = best_so = start_so
     best_edges = list(edges)
-    moves = accepted = tries = 0
+    moves = accepted = 0
     while moves < budget:
-        if tries == _SAMPLE_TRIES:  # no valid swap in a row of draws
+        for _ in range(_SAMPLE_TRIES):
+            i = bits(k)
+            while i >= ne:
+                i = bits(k)
+            j = bits(k)
+            while j >= ne:
+                j = bits(k)
+            (a, b), (c, d) = edges[i], edges[j]
+            if a == c or b == d or a == d or b == c:  # also i == j
+                continue
+            r = bits(2)
+            while r >= 2:
+                r = bits(2)
+            # x, y: the child ends.  r is valid iff it is (x == b) == (y == d),
+            # negated when nest is 1 (y lies below x) or 2 (x below y).  0 is
+            # no child end; only an internal vertex has vertices below it.
+            x = a if parent[a] == b else b
+            y = c if parent[c] == d else d
+            if deg[x] > 1:
+                v = parent[y]
+                while v and v != x:
+                    v = parent[v]
+                if v:
+                    if r != ((x == b) == (y == d)):
+                        nest = 1
+                        break
+                    continue
+            if deg[y] > 1:
+                v = parent[x]
+                while v and v != y:
+                    v = parent[v]
+                if v:
+                    if r != ((x == b) == (y == d)):
+                        nest = 2
+                        break
+                    continue
+            if r == ((x == b) == (y == d)):
+                nest = 0
+                break
+        else:  # _SAMPLE_TRIES draws in a row with no valid swap
             if deltas is None:
                 break
-            temp, deltas, tries = _start_temp(deltas), None, 0
-        tries += 1
-        i = bits(k)
-        while i >= ne:
-            i = bits(k)
-        j = bits(k)
-        while j >= ne:
-            j = bits(k)
-        if i == j:
+            temp, deltas = _start_temp(deltas), None
             continue
-        a, b = edges[i]
-        c, d = edges[j]
-        if a == c or a == d or b == c or b == d:
-            continue
-        r = bits(2)
-        while r >= 2:
-            r = bits(2)
-        # x, y: the child ends; nest 1 when y lies below x, 2 when x below y
-        x = a if parent[a] == b else b
-        y = c if parent[c] == d else d
-        v = parent[y]
-        while v != x and v != -1:
-            v = parent[v]
-        if v == x:
-            nest = 1
-        else:
-            v = parent[x]
-            while v != y and v != -1:
-                v = parent[v]
-            nest = 2 if v == y else 0
-        near_ab = x if nest == 1 else parent[x]
-        near_cd = y if nest == 2 else parent[y]
-        if r != ((near_cd == c) == (near_ab == a)):
-            continue
-        tries = 0
-        p, q = (c, d) if r == 0 else (d, c)  # new edges (a, p), (b, q)
-        delta = (
-            W[deg[a]][deg[p]] + W[deg[b]][deg[q]]
-            - W[deg[a]][deg[b]] - W[deg[c]][deg[d]]
-        )
+        p, q = (d, c) if r else (c, d)  # new edges (a, p), (b, q)
+        delta = row[a][deg[p]] + row[b][deg[q]] - row[a][deg[b]] - row[c][deg[d]]
         if deltas is not None:
             deltas.append(abs(delta))
             if len(deltas) == 100:

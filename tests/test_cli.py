@@ -276,6 +276,21 @@ def test_search_matches_recorded_output(capsys):
     assert capsys.readouterr().out == SEARCH_OUT
 
 
+# the star has no two vertex-disjoint edges, so no 2-swap: the search hands
+# back the constructed tree with no move (CI runs the installed script too)
+SEARCH_STAR_ARGV = ["search", "--degrees", "7", "--budget", "300", "--seed", "5"]
+SEARCH_STAR_OUT = (
+    '{"degrees": [7], "constructed_so": 49.49747468305833, '
+    '"best_so": 49.49747468305833, "improved": false, "moves": 0, '
+    '"accepted": 0, "seed": 5, "budget": 300}\n'
+)
+
+
+def test_search_star_matches_recorded_output(capsys):
+    assert run(SEARCH_STAR_ARGV) == 0
+    assert capsys.readouterr().out == SEARCH_STAR_OUT
+
+
 # pinned bit for bit: the paper's sequence through both checkers, one
 # violating record per line (CI compares the installed console script too)
 CHECK_ARGV = ["check", "--degrees", "5,5,5,4,3,3,2,2"]

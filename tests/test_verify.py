@@ -288,15 +288,24 @@ def test_skeleton_scan_matches_permutation_walk():
 
 
 def test_placement_code_matches_canonical_form():
-    # canonical_form renumbers the skeleton by its own BFS from the center;
-    # the placement's numbering must give the same code, and the tree built
-    # here the same tree as the oracle's _hang_leaves
+    # each placement's tree under a seeded random relabeling, built from its
+    # edges in random order and orientation: canonical_form finds the centers
+    # and numbers the skeleton itself, from whichever center the labels make
+    # the lower, so it reaches the code by another root than the placement's
+    # vertex 0 whenever the tree has two centers
+    rng = random.Random(14)
     seen, bicentral = 0, 0
     for d in sequences_to(14):
         for _, key in _skeleton_scan(d):
-            tree = _hang_leaves(key)
-            assert tree == placement_tree(key)
-            assert _placement_code(key) == canonical_form(tree), key
+            edges = placement_tree(key).edges()
+            n = len(edges) + 1
+            label = list(range(n))
+            rng.shuffle(label)
+            edges = [(label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u])
+                     for u, v in edges]
+            rng.shuffle(edges)
+            tree = Tree.from_edges(n, edges)
+            assert canonical_form(tree) == _placement_code(key), key
             seen += 1
             bicentral += len(tree_centers(tree.adj)) == 2
     assert (seen, bicentral) == (9_732, 4_356)
@@ -1234,6 +1243,20 @@ def test_one_loop_anneal_matches_reference_loop(d, budget, seed):
     assert _sha(result.best_tree) == _sha(best)
     if d.m <= 1:
         assert result.moves == 0
+
+
+def test_anneal_matches_reference_on_n13():
+    # the search benchmark's own input shape: every sequence with n = 13,
+    # where the kept draws, walks and leaf skips of the draw loop all occur
+    seqs = [d for d in generate_degree_sequences(13) if d.vertex_count == 13]
+    assert len(seqs) == 56
+    for seed, d in enumerate(seqs):
+        result = anneal_search(d, budget=1000, seed=seed)
+        moves, accepted, best_so, start_so, best = _reference_anneal(d, 1000, seed)
+        assert (result.moves, result.accepted) == (moves, accepted), d
+        assert result.best_so.hex() == best_so.hex(), d
+        assert result.start_so.hex() == start_so.hex(), d
+        assert _sha(result.best_tree) == _sha(best), d
 
 
 def test_unbeaten_anneal_returns_constructed_tree(monkeypatch):
