@@ -301,13 +301,6 @@ def _reroot(parent, x: int, y: int, nest: int) -> None:
     parent[y] = x
 
 
-def apply_swap(t: Tree, move: SwapMove) -> Tree:
-    drop = {frozenset(move.edge_a), frozenset(move.edge_b)}
-    edges = [e for e in t.edges() if frozenset(e) not in drop]
-    edges.extend(move.new_edges())
-    return Tree.from_edges(t.n, edges)
-
-
 class LocalMaxReport(NamedTuple):
     is_local_max: bool
     base_so: float

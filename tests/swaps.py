@@ -40,6 +40,14 @@ def _valid_recombination(parent, a: int, b: int, c: int, d: int):
     return int((near_cd == c) == (near_ab == a)), x, y, nest
 
 
+def apply_swap(t: Tree, move: SwapMove) -> Tree:
+    """t with the swap made, rebuilt from its edge list."""
+    drop = {frozenset(move.edge_a), frozenset(move.edge_b)}
+    edges = [e for e in t.edges() if frozenset(e) not in drop]
+    edges.extend(move.new_edges())
+    return Tree.from_edges(t.n, edges)
+
+
 def two_swap_neighbors(t: Tree):
     """Stream all valid SwapMoves of t, one per endpoint-disjoint edge pair."""
     edges = t.edges()

@@ -1,10 +1,5 @@
 import json
 import math
-import os
-import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -14,6 +9,8 @@ from sombortree.cli import run
 from sombortree.construct import construct_max_tree
 from sombortree.graph import Tree, canonical_form, sombor_index, validate
 from sombortree.sweep import read_csv
+
+from test_console import SEARCH_ARGV, SEARCH_OUT
 
 # not the maximum for 3,2,2: both 2s hang off the 3
 SPIDER_322 = Tree.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)])
@@ -221,10 +218,11 @@ def test_sweep_capped_exits_2(capsys, tmp_path):
     assert sum(r.capped for r in read_csv(out)) == payload["capped"]
 
 
-def test_sweep_counterexample_exits_3_with_witnesses(capsys, monkeypatch, tmp_path):
-    def planted(d):
-        return SPIDER_322 if d.degrees == (3, 2, 2) else construct_max_tree(d)
+def planted(d):
+    return SPIDER_322 if d.degrees == (3, 2, 2) else construct_max_tree(d)
 
+
+def test_sweep_counterexample_exits_3_with_witnesses(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(sombortree.sweep, "construct_max_tree", planted)
     wdir = tmp_path / "witnesses"
     argv = ["sweep", "--max-n", "6", "--out", str(tmp_path / "r.csv"),
@@ -238,6 +236,28 @@ def test_sweep_counterexample_exits_3_with_witnesses(capsys, monkeypatch, tmp_pa
     assert canonical_form(constructed) == canonical_form(SPIDER_322)
     best = construct_max_tree(validate([3, 2, 2]))
     assert canonical_form(oracle) == canonical_form(best)
+
+
+def test_sweep_unwritable_witness_dir_exit_1(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(sombortree.sweep, "construct_max_tree", planted)
+    wdir = tmp_path / "w"
+    wdir.write_text("")  # a file where the directory should go
+    out = tmp_path / "r.csv"
+    argv = ["sweep", "--max-n", "6", "--out", str(out), "--witness-dir", str(wdir)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: writing witness files for 3,2,2: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_verify_counterexample_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "construct_max_tree", planted)
+    assert run(["verify", "--degrees", "3,2,2"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["optimal"] is False and payload["capped"] is False
+    assert payload["constructed_so"] == sombor_index(SPIDER_322)
+    assert payload["gap"] > 0
 
 
 def test_search_confirms_constructor(capsys):
@@ -259,183 +279,6 @@ def test_search_budget_zero(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["budget"] == 0 and payload["moves"] == 0
     assert payload["best_so"] == payload["constructed_so"]
-
-
-# pinned bit for bit: the seeded annealer's output must not move (CI runs
-# the same line through the installed console script)
-SEARCH_ARGV = ["search", "--degrees", "5,5,5,4,3,3,2,2", "--budget", "3000", "--seed", "11"]
-SEARCH_OUT = (
-    '{"degrees": [5, 5, 5, 4, 3, 3, 2, 2], "constructed_so": 106.61257578712797, '
-    '"best_so": 106.61257578712797, "improved": false, "moves": 3000, '
-    '"accepted": 1775, "seed": 11, "budget": 3000}\n'
-)
-
-
-def test_search_matches_recorded_output(capsys):
-    assert run(SEARCH_ARGV) == 0
-    assert capsys.readouterr().out == SEARCH_OUT
-
-
-# the star has no two vertex-disjoint edges, so no 2-swap: the search hands
-# back the constructed tree with no move (CI runs the installed script too)
-SEARCH_STAR_ARGV = ["search", "--degrees", "7", "--budget", "300", "--seed", "5"]
-SEARCH_STAR_OUT = (
-    '{"degrees": [7], "constructed_so": 49.49747468305833, '
-    '"best_so": 49.49747468305833, "improved": false, "moves": 0, '
-    '"accepted": 0, "seed": 5, "budget": 300}\n'
-)
-
-
-def test_search_star_matches_recorded_output(capsys):
-    assert run(SEARCH_STAR_ARGV) == 0
-    assert capsys.readouterr().out == SEARCH_STAR_OUT
-
-
-# pinned bit for bit: the paper's sequence through both checkers, one
-# violating record per line (CI compares the installed console script too)
-CHECK_ARGV = ["check", "--degrees", "5,5,5,4,3,3,2,2"]
-CHECK_OUT = (
-    '{"degrees": [5, 5, 5, 4, 3, 3, 2, 2], "theorem1": {"paths": 105, "checked": 717, "violations": 80, "records": [{"path": [4, 1, 0, 3, 11, 13, 15], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [4, 1, 0, 3, 11, 13, 16], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [4, 1, 0, 3, 11, 13, 17], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [4, 1, 0, 3, 11, 13, 18], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [4, 1, 0, 3, 12, 14, 19], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [4, 1, 0, 3, 12, 14, 20], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [4, 1, 0, 3, 12, 14, 21], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [4, 1, 0, 3, 12, 14, 22], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [5, 1, 0, 3, 11, 13, 15], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [5, 1, 0, 3, 11, 13, 16], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [5, 1, 0, 3, 11, 13, 17], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [5, 1, 0, 3, 11, 13, 18], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [5, 1, 0, 3, 12, 14, 19], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [5, 1, 0, 3, 12, 14, 20], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [5, 1, 0, 3, 12, 14, 21], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [5, 1, 0, 3, 12, 14, 22], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [6, 1, 0, 3, 11, 13, 15], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [6, 1, 0, 3, 11, 13, 16], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [6, 1, 0, 3, 11, 13, 17], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [6, 1, 0, 3, 11, 13, 18], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [6, 1, 0, 3, 12, 14, 19], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [6, 1, 0, 3, 12, 14, 20], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [6, 1, 0, 3, 12, 14, 21], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [6, 1, 0, 3, 12, 14, 22], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [7, 1, 0, 3, 11, 13, 15], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [7, 1, 0, 3, 11, 13, 16], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [7, 1, 0, 3, 11, 13, 17], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [7, 1, 0, 3, 11, 13, 18], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [7, 1, 0, 3, 12, 14, 19], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [7, 1, 0, 3, 12, 14, 20], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [7, 1, 0, 3, 12, 14, 21], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [7, 1, 0, 3, 12, 14, 22], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [8, 2, 0, 3, 11, 13, 15], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [8, 2, 0, 3, 11, 13, 15], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [8, 2, 0, 3, 11, 13, 16], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [8, 2, 0, 3, 11, 13, 16], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [8, 2, 0, 3, 11, 13, 17], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [8, 2, 0, 3, 11, 13, 17], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [8, 2, 0, 3, 11, 13, 18], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [8, 2, 0, 3, 11, 13, 18], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [8, 2, 0, 3, 12, 14, 19], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [8, 2, 0, 3, 12, 14, 19], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [8, 2, 0, 3, 12, 14, 20], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [8, 2, 0, 3, 12, 14, 20], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [8, 2, 0, 3, 12, 14, 21], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [8, 2, 0, 3, 12, 14, 21], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [8, 2, 0, 3, 12, 14, 22], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [8, 2, 0, 3, 12, 14, 22], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [9, 2, 0, 3, 11, 13, 15], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [9, 2, 0, 3, 11, 13, 15], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [9, 2, 0, 3, 11, 13, 16], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [9, 2, 0, 3, 11, 13, 16], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [9, 2, 0, 3, 11, 13, 17], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [9, 2, 0, 3, 11, 13, 17], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [9, 2, 0, 3, 11, 13, 18], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [9, 2, 0, 3, 11, 13, 18], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [9, 2, 0, 3, 12, 14, 19], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [9, 2, 0, 3, 12, 14, 19], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [9, 2, 0, 3, 12, 14, 20], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [9, 2, 0, 3, 12, 14, 20], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [9, 2, 0, 3, 12, 14, 21], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [9, 2, 0, 3, 12, 14, 21], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [9, 2, 0, 3, 12, 14, 22], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [9, 2, 0, 3, 12, 14, 22], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [10, 2, 0, 3, 11, 13, 15], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [10, 2, 0, 3, 11, 13, 15], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [10, 2, 0, 3, 11, 13, 16], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [10, 2, 0, 3, 11, 13, 16], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [10, 2, 0, 3, 11, 13, 17], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [10, 2, 0, 3, 11, 13, 17], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [10, 2, 0, 3, 11, 13, 18], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [10, 2, 0, 3, 11, 13, 18], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [10, 2, 0, 3, 12, 14, 19], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [10, 2, 0, 3, 12, 14, 19], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [10, 2, 0, 3, 12, 14, 20], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [10, 2, 0, 3, 12, 14, 20], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [10, 2, 0, 3, 12, 14, 21], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [10, 2, 0, 3, 12, 14, 21], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}, '
-    '{"path": [10, 2, 0, 3, 12, 14, 22], "i": 1, "parity": "odd", "inequality": "d(v1) >= d(v5)", "lhs_degree": 4, "rhs_degree": 5, "holds": false}, '
-    '{"path": [10, 2, 0, 3, 12, 14, 22], "i": 2, "parity": "even", "inequality": "d(v2) <= d(v4)", "lhs_degree": 3, "rhs_degree": 2, "holds": false}]}, "local_max": {"is_local_max": true, "base_so": 106.61257578712797, "best_delta": 4.440892098500626e-16}}\n'
-)
-
-
-def test_check_matches_recorded_output(capsys):
-    assert run(CHECK_ARGV) == 0
-    assert capsys.readouterr().out == CHECK_OUT
-
-
-# pinned bit for bit: the oracle's three tied witnesses, read off skeleton
-# placements (CI compares the installed console script too)
-VERIFY_ARGV = ["verify", "--degrees", "3,3,3,3,2"]
-VERIFY_OUT = (
-    '{"degrees": [3, 3, 3, 3, 2], "n": 11, "m": 5, "constructed_so": 34.67004988617683, '
-    '"oracle_so": 34.67004988617683, "gap": 0.0, "optimal": true, "capped": false, '
-    '"enumerated": 22680, "witnesses": ["(((()())(()()))(()()))", '
-    '"(((()())())((()())()))", "(((()())())((()()))())"]}\n'
-)
-
-
-def test_verify_matches_recorded_output(capsys):
-    assert run(VERIFY_ARGV) == 0
-    out = capsys.readouterr().out
-    assert out == VERIFY_OUT
-    payload = json.loads(out)
-    assert len(payload["witnesses"]) == 3 and payload["enumerated"] == 22680
-    assert payload["oracle_so"] == payload["constructed_so"]
-
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _console(argv, **kw):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.Popen(
-        [sys.executable, "-m", "sombortree.cli", *argv], stderr=subprocess.PIPE, env=env, **kw
-    )
-
-
-def test_closed_stdout_mid_output_exits_1_in_one_line():
-    # 3.7 MB of check output; the reader takes one byte and leaves, so the
-    # write of the report itself fails
-    rng = random.Random(7)
-    degrees = ",".join(str(rng.randint(3, 5)) for _ in range(150))
-    proc = _console(["check", "--degrees", degrees], stdout=subprocess.PIPE)
-    assert proc.stdout.read(1) == b"{"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 1
-    assert err == b"error: stdout closed before the output ended\n"
-
-
-def test_closed_stdout_before_output_exits_1_in_one_line():
-    # the read end is gone before the process starts, so the short verify
-    # line fails only when the buffered stdout is flushed
-    r, w = os.pipe()
-    os.close(r)
-    proc = _console(VERIFY_ARGV, stdout=w)
-    os.close(w)
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 1
-    assert err == b"error: stdout closed before the output ended\n"
 
 
 def test_reused_parser_keeps_no_state(capsys, monkeypatch):

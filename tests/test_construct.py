@@ -100,6 +100,12 @@ def test_decompose_star():
     assert decompose(validate([7])) == [SubtreeSpec(BASE, 7, (), filler_leaves=7)]
 
 
+def test_decompose_rejects_the_lone_edge():
+    # validate([]) is the lone edge: no internal degree to root a spec at
+    with pytest.raises(ValueError, match="at least one internal degree"):
+        decompose(validate([]))
+
+
 @given(degree_sequences())
 @settings(max_examples=150)
 def test_decompose_partitions_degrees(d):

@@ -55,9 +55,9 @@ def seeded_degrees(seed, m, hi):
 
 
 # Seeded random lists at m = 2000, far past the one-merge-at-a-time
-# construction's reach in the tests above (n = 6,064 and 39,270); CI
-# compares `sombor construct` on the degrees 2..40 one, less its final
-# newline, through the installed console script too.
+# construction's reach in the tests above (n = 6,064 and 39,270);
+# tests/test_console.py pins `sombor construct` on the degrees 2..40 one,
+# less its final newline, too.
 CONSTRUCT_M2000 = {
     "m2000_deg2to6": (2000, 6, "d0097eb1c1decf64460a1bb240a30396488a3f88e8d5f433d94089ee25937d15"),
     "m2000_deg2to40": (2001, 40, "b0af4c63d39625689ffd55dbcb65114488ab229ef48b8c54809285d7be17e383"),
@@ -91,8 +91,8 @@ def test_construct_json_many_distinct_degrees():
     )
 
 
-# The sweep CSV for n <= 10 (CI compares `sombor sweep --max-n 10` through
-# the installed console script too).
+# The sweep CSV for n <= 10 (tests/test_console.py pins `sombor sweep
+# --max-n 10` too).
 SWEEP_CSV_N10 = "7eec03ab6cbb8dcd3f21ecf9b53172332ac1918772be5adafa2c4bbe3bc8d062"
 
 
@@ -104,8 +104,7 @@ def test_sweep_csv_n10(tmp_path):
 
 # The sweep CSV for n <= 12 (138 sequences), recorded from the oracle that
 # walked every permutation of the degrees on each skeleton, half of which
-# the placement walk skips at n = 12 (CI compares it through the installed
-# console script too).
+# the placement walk skips at n = 12 (tests/test_console.py pins it too).
 SWEEP_CSV_N12 = "5b5f4faf53eb0ede538b14960a814734119d619b7c8fbb150870fb93123684b7"
 
 
@@ -129,15 +128,3 @@ def test_check_cli_output_every_sequence_to_n14(capsys):
     text = "".join(check_stdout(d.degrees, capsys) for d in seqs)
     assert sha(text) == "538d6fcf8e8ac2036c1d5064fcea93901243ae447d663fbb1a41ca833207555c"
 
-
-# `sombor check` stdout on 150 degrees drawn by random.Random(7) from 3..5
-# (CI compares it through the installed console script too).
-CHECK_M150 = "0cf48995a9406a14362bc8fa13962e33ee507499f9c94adb2380a9430e554dbe"
-
-
-def test_check_cli_output_m150(capsys):
-    # no timer: 45,150 paths and 1,409,010 inequalities, 22,216 violated
-    rng = random.Random(7)
-    degrees = [rng.randint(3, 5) for _ in range(150)]
-    out = check_stdout(degrees, capsys)
-    assert sha(out) == CHECK_M150

@@ -67,6 +67,20 @@ def test_tree_rejects_disconnected():
         Tree.from_edges(4, [(0, 1), (1, 2), (0, 2)])
 
 
+@pytest.mark.parametrize(
+    "n, edges, why",
+    [
+        (0, [], "at least one vertex"),
+        (-1, [], "at least one vertex"),
+        (2, [(0, 2)], "out of range"),
+        (2, [(-1, 1)], "out of range"),
+    ],
+)
+def test_tree_rejects_vertex_ids_out_of_range(n, edges, why):
+    with pytest.raises(InvalidTreeError, match=why):
+        Tree.from_edges(n, edges)
+
+
 def test_tree_json_roundtrip():
     t = star_tree(5)
     assert Tree.from_json(t.to_json()).edges() == t.edges()

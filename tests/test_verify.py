@@ -1,9 +1,11 @@
+import functools
 import hashlib
 import heapq
 import itertools
 import json
 import math
 import random
+import signal
 from collections import Counter
 from math import factorial
 
@@ -48,7 +50,6 @@ from sombortree.verify import (
     _reroot,
     _skeleton_scan,
     anneal_search,
-    apply_swap,
     attachment_profile,
     check_theorem1,
     free_trees,
@@ -59,7 +60,7 @@ from sombortree.verify import (
 
 from labeled import _next_permutation, enumerate_trees, prufer_to_tree
 from test_graph import _recursive_canonical_form
-from swaps import _delta, _valid_recombination, swap_delta, two_swap_neighbors
+from swaps import _delta, _valid_recombination, apply_swap, swap_delta, two_swap_neighbors
 
 CATERPILLAR_322 = Tree.from_edges(6, [(0, 1), (1, 2), (0, 3), (0, 4), (2, 5)])
 SPIDER_322 = Tree.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)])
@@ -1092,6 +1093,37 @@ def test_attachment_profile_matches_merging_at_each_leaf():
 # -- annealing ---------------------------------------------------------------
 
 
+class Hung(BaseException):
+    """Raised by time_limit.  Not an Exception, so hypothesis does not catch
+    it and shrink by rerunning the example that hung, with no timer left."""
+
+
+def time_limit(seconds):
+    """Fail the decorated test from inside it after `seconds` of wall time.
+
+    A wrong validity test in anneal_search can leave a cycle in its parent
+    array, and the ancestor walk then never ends: without this, such a
+    change hangs the run instead of failing it."""
+
+    def expire(signum, frame):
+        raise Hung(f"still running after {seconds} s")
+
+    def wrap(test):
+        @functools.wraps(test)
+        def guarded(*args, **kwargs):
+            old = signal.signal(signal.SIGALRM, expire)
+            signal.setitimer(signal.ITIMER_REAL, seconds)
+            try:
+                return test(*args, **kwargs)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, old)
+
+        return guarded
+
+    return wrap
+
+
 def test_anneal_322_reaches_oracle():
     result = anneal_search(validate([3, 2, 2]), budget=100, seed=42)
     assert result.best_so == pytest.approx(SO_CATERPILLAR, rel=1e-9)
@@ -1109,6 +1141,7 @@ def test_anneal_rejects_negative_budget():
         anneal_search(validate([3, 2, 2]), budget=-5, seed=1)
 
 
+@time_limit(5)
 def test_anneal_deterministic():
     d = validate([4, 3, 2, 2])
     a = anneal_search(d, budget=2000, seed=123)
@@ -1117,6 +1150,7 @@ def test_anneal_deterministic():
     assert (a.best_so, a.moves, a.accepted) == (b.best_so, b.moves, b.accepted)
 
 
+@time_limit(5)
 def test_anneal_never_below_start():
     for seed in (1, 2, 3):
         result = anneal_search(validate([3, 3, 2, 2]), budget=3000, seed=seed)
@@ -1214,6 +1248,16 @@ def _reference_anneal(d, budget: int, seed: int):
     return moves, accepted, sombor_index(best), start_so, best
 
 
+def assert_anneal_matches_reference(d, budget, seed):
+    result = anneal_search(d, budget=budget, seed=seed)
+    moves, accepted, best_so, start_so, best = _reference_anneal(d, budget, seed)
+    assert (result.moves, result.accepted) == (moves, accepted), d
+    assert result.best_so.hex() == best_so.hex(), d
+    assert result.start_so.hex() == start_so.hex(), d
+    assert _sha(result.best_tree) == _sha(best), d
+    return result
+
+
 @st.composite
 def degree_lists(draw, max_n=40):
     """Feasible degree sequences with n = 2 + sum(d - 1) <= max_n."""
@@ -1230,35 +1274,41 @@ def _sha(tree: Tree) -> str:
     return hashlib.sha256(tree.to_json().encode()).hexdigest()
 
 
+@time_limit(5)
 @given(degree_lists(), st.integers(0, 300), st.integers(0, 2**32))
 @example(validate([7]), 300, 5)  # the star: no swap exists
 @example(validate([]), 300, 5)  # the lone edge
 @settings(max_examples=150, deadline=None)
 def test_one_loop_anneal_matches_reference_loop(d, budget, seed):
-    result = anneal_search(d, budget=budget, seed=seed)
-    moves, accepted, best_so, start_so, best = _reference_anneal(d, budget, seed)
-    assert (result.moves, result.accepted) == (moves, accepted)
-    assert result.best_so.hex() == best_so.hex()
-    assert result.start_so.hex() == start_so.hex()
-    assert _sha(result.best_tree) == _sha(best)
+    result = assert_anneal_matches_reference(d, budget, seed)
     if d.m <= 1:
         assert result.moves == 0
 
 
+@time_limit(5)
 def test_anneal_matches_reference_on_n13():
     # the search benchmark's own input shape: every sequence with n = 13,
     # where the kept draws, walks and leaf skips of the draw loop all occur
     seqs = [d for d in generate_degree_sequences(13) if d.vertex_count == 13]
     assert len(seqs) == 56
     for seed, d in enumerate(seqs):
-        result = anneal_search(d, budget=1000, seed=seed)
-        moves, accepted, best_so, start_so, best = _reference_anneal(d, 1000, seed)
-        assert (result.moves, result.accepted) == (moves, accepted), d
-        assert result.best_so.hex() == best_so.hex(), d
-        assert result.start_so.hex() == start_so.hex(), d
-        assert _sha(result.best_tree) == _sha(best), d
+        assert_anneal_matches_reference(d, 1000, seed)
 
 
+@time_limit(5)
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize(
+    "degrees", [[1000, 2], [300, 2], [120, 2]], ids=lambda d: ",".join(map(str, d))
+)
+def test_anneal_gives_up_as_the_reference_does(degrees, seed):
+    # a double star: a random pair of edges shares the big hub nearly every
+    # time, so _SAMPLE_TRIES draws in a row miss, ending the warm-up early
+    # and then the search, far short of the budget
+    result = assert_anneal_matches_reference(validate(degrees), 500, seed)
+    assert result.moves < 500
+
+
+@time_limit(5)
 def test_unbeaten_anneal_returns_constructed_tree(monkeypatch):
     # an anneal that rebuilds no tree is one where no move beat the start:
     # it must hand back the constructed tree and its exact index, as the
@@ -1323,6 +1373,7 @@ ANNEAL_GOLDEN = [
 ]
 
 
+@time_limit(5)
 @pytest.mark.parametrize(
     "degrees,budget,seed,best_so,moves,accepted,tree_sha",
     ANNEAL_GOLDEN,
