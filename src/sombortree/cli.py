@@ -176,6 +176,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cap = _cap(args)
+    if args.max_n < 3:
+        raise _InputError(f"--max-n must be at least 3, got {args.max_n}")
     try:
         records = run_sweep(
             args.max_n, cap=cap, out_csv=args.out, witness_dir=args.witness_dir

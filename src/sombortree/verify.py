@@ -1,10 +1,12 @@
 """Independent ground truth and theorem probes.
 
 Exact maximum by a scan over free skeleton trees (the trees left after
-deleting the leaves, one per isomorphism class) with every admissible
-placement of the degrees on them, deduplicated by a canonical code read
-off the skeleton, a tree built only per witness; an explicit cap bounds
-the placements scored.  Also degree-preserving 2-swap local search,
+deleting the leaves, one per isomorphism class; each m's walk is kept once
+per process, as flat parent arrays with one degree profile per tree) with
+every admissible placement of the degrees on them, scored along the
+backtracking that places it, deduplicated by a canonical code read off the
+skeleton, a tree built only per witness; an explicit cap bounds the
+placements scored.  Also degree-preserving 2-swap local search,
 path-inequality and attachment-site checkers, and a seeded simulated
 annealer for instances beyond exhaustive reach.  Both local checks work
 by degree class: the 2-swap scan scores each pair of edge classes once
@@ -148,6 +150,47 @@ class OracleResult(NamedTuple):
     witness_trees: tuple[Tree, ...] = ()  # one representative per code
 
 
+_WALKS: dict[int, tuple] = {}  # m -> (parents, profile ids, profiles)
+
+
+def _walk_record(m: int):
+    """(parents, profiles, trees) for the free trees on m vertices in
+    free_trees order: their parent arrays back to back in one flat array,
+    and trees yielding (offset into parents, profile id) per tree, where
+    profiles[id] is its sorted skeleton degrees, non-increasing.  Read from
+    _WALKS once m's walk has run to its end; until then walked lazily and
+    kept only at the end, so a scan cut short leaves no partial walk."""
+    if m in _WALKS:
+        parents, pids, profiles = _WALKS[m]
+        return parents, profiles, zip(range(0, len(parents), m), pids)
+    from array import array  # here, not at the top: the package import stays as cheap
+
+    parents, pids, profiles, ids = array("b" if m <= 128 else "l"), array("I"), [], {}
+
+    def walk():
+        for i, parent in enumerate(free_trees(m)):
+            s = _skeleton_degrees(parent)
+            s.sort(reverse=True)
+            profile = tuple(s)
+            pid = ids.setdefault(profile, len(profiles))
+            if pid == len(profiles):
+                profiles.append(profile)
+            parents.fromlist(list(parent))  # grows the array once; extend grows it per item
+            pids.append(pid)
+            yield i * m, pid
+        _WALKS[m] = parents, pids, profiles
+
+    return parents, profiles, walk()
+
+
+def _skeleton_degrees(parent) -> list[int]:
+    s = [1] * len(parent)
+    s[0] = 0
+    for p in islice(parent, 1, None):
+        s[p] += 1
+    return s
+
+
 def _skeleton_scan(d: DegreeSequence):
     """Score every tree realizing d as (so, (parent, s, degrees)).
 
@@ -157,9 +200,11 @@ def _skeleton_scan(d: DegreeSequence):
     the multiset d on a free tree S with d(v) >= s(v) is walked, and no
     other (_placements); the score is the fsum of the tree's edge weights,
     bit-identical to sombor_index of the tree.  Isomorphic trees may be
-    scored more than once, through automorphisms of S.  The single edge
-    (m = 0) is the one placement of a degree 1, with its one leaf, on a
-    lone vertex.
+    scored more than once, through automorphisms of S.  The free trees on m
+    vertices are walked once per process (_walk_record), and S is
+    admissible when its sorted degrees fit under d's, tested once per
+    distinct profile.  The single edge (m = 0) is the one placement of a
+    degree 1, with its one leaf, on a lone vertex.
     """
     m = d.m
     if m == 0:
@@ -169,39 +214,49 @@ def _skeleton_scan(d: DegreeSequence):
     need = list(d.degrees)  # non-increasing: DegreeSequence sorts them
     W = weight_table(need + [1])
     vals = sorted(set(need))
-    for parent in free_trees(m):
-        s = [0] * m
-        for v in range(1, m):
-            s[v] += 1
-            s[parent[v]] += 1
-        if any(x > y for x, y in zip(sorted(s, reverse=True), need)):
-            continue
-        for deg in _placements(vals, [need.count(x) for x in vals], s):
-            terms = [W[deg[v]][deg[parent[v]]] for v in range(1, m)]
-            for v in range(m):
-                terms += [W[deg[v]][1]] * (deg[v] - s[v])
-            yield math.fsum(terms), (parent, s, deg)
+    left = [need.count(x) for x in vals]
+    parents, profiles, trees = _walk_record(m)
+    fits: list[bool] = []  # per profile id
+    for i, pid in trees:
+        if pid == len(fits):
+            fits.append(all(x <= y for x, y in zip(profiles[pid], need)))
+        if fits[pid]:
+            parent = tuple(parents[i : i + m])
+            s = _skeleton_degrees(parent)
+            for so, deg in _placements(vals, left[:], parent, s, W):
+                yield so, (parent, s, deg)
 
 
-def _placements(vals, left, s):
-    """Every tuple deg with left[i] copies of vals[i] (ascending) and each
-    deg[v] >= s[v], in lexicographic order, by iterative backtracking: each
-    position tries the values still left, ascending from the first >= s[v]."""
+def _placements(vals, left, parent, s, W):
+    """(score, deg) for every tuple deg with left[i] copies of vals[i]
+    (ascending) and each deg[v] >= s[v], in lexicographic order, by
+    iterative backtracking: each position tries the values still left,
+    ascending from the first >= s[v].  Position v pushes its edge to
+    parent[v] < v and its deg[v] - s[v] hung leaves onto one stack of edge
+    weights, cut back to v's base when v takes another value, and the score
+    of a placement is the fsum of the stack: the tree's edge weights."""
     m, k = len(s), len(vals)
     lo = [bisect_left(vals, x) for x in s]
     deg, nxt, v = [0] * m, lo[:], 0  # nxt[v]: the index into vals to try next at v
+    terms, base = [], [0] * m  # base[v]: the stack's height below v's terms
     while True:
         i = nxt[v]
         while i < k and not left[i]:
             i += 1
         if i < k:
             left[i] -= 1
-            deg[v], nxt[v] = vals[i], i + 1
+            x = deg[v] = vals[i]
+            nxt[v] = i + 1
+            del terms[base[v] :]
+            row = W[x]
+            if v:
+                terms.append(row[deg[parent[v]]])
+            terms += [row[1]] * (x - s[v])
             if v + 1 < m:
                 v += 1
-                nxt[v] = lo[v]
+                nxt[v], base[v] = lo[v], len(terms)
                 continue
-            yield tuple(deg)
+            yield math.fsum(terms), tuple(deg)
         elif v:
             v -= 1
         else:

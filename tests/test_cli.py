@@ -10,6 +10,7 @@ from sombortree.construct import construct_max_tree
 from sombortree.graph import Tree, canonical_form, sombor_index, validate
 from sombortree.sweep import read_csv
 
+from conftest import time_limit
 from test_console import SEARCH_ARGV, SEARCH_OUT
 
 # not the maximum for 3,2,2: both 2s hang off the 3
@@ -196,7 +197,7 @@ def test_sweep_max_n_below_3_exit_1(capsys, tmp_path):
     assert run(["sweep", "--max-n", "2", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err == "error: --max-n must be at least 3, got 2\n"
     assert not out.exists()
 
 
@@ -281,6 +282,7 @@ def test_search_budget_zero(capsys):
     assert payload["best_so"] == payload["constructed_so"]
 
 
+@time_limit(5)  # SEARCH_ARGV runs the annealer; the test takes about 0.02 s
 def test_reused_parser_keeps_no_state(capsys, monkeypatch):
     # run() parses with one parser per process; each call must see what a
     # freshly built parser sees, whatever the calls before it passed
@@ -359,7 +361,7 @@ def test_score_and_sweep_error_lines(capsys, tmp_path):
         f"error: writing sweep CSV {out}: [Errno 2] No such file or directory: '{out}'\n"
     )
     assert run(["sweep", "--max-n", "2", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: max_n must be >= 3\n"
+    assert capsys.readouterr().err == "error: --max-n must be at least 3, got 2\n"
 
 
 def test_leaf_degree_exit_1(capsys):

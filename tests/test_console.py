@@ -77,6 +77,9 @@ READ_BACK = (
 )
 DEEP_JSON = "import sys; open(sys.argv[1], 'w').write('[' * 100000 + ']' * 100000)"
 SWEEP_N10 = sombor("sweep", "--max-n", "10", "--out", "{tmp}/s.csv")
+# the sweep CSVs at n <= 16 and at n <= 14 under a cap of 40 placements
+SWEEP_CSV_N16 = "f20a7391200e0fa17dff01d904a7376d0d56aeedd92ee648243b44efe938eb46"
+SWEEP_CSV_N14_CAP40 = "8eb4c97e4921b228189ae7afa83393fd8656d8c7b5ceaa82283d4bf7bfe4394c"
 
 
 class Row(NamedTuple):
@@ -125,6 +128,15 @@ ROWS = {
     ),
     "sweep_n12": Row(
         sombor("sweep", "--max-n", "12", "--out", "{tmp}/s.csv"), sha256=SWEEP_CSV_N12, out="s.csv"
+    ),
+    # 507 exact rows; within one process most calls read an m walked before
+    "sweep_n16": Row(
+        sombor("sweep", "--max-n", "16", "--out", "{tmp}/s.csv"), sha256=SWEEP_CSV_N16, out="s.csv"
+    ),
+    # 58 of 271 rows capped, so exit 2: capped and exact scans share each m
+    "sweep_n14_cap40": Row(
+        sombor("sweep", "--max-n", "14", "--cap", "40", "--out", "{tmp}/s.csv"), 2,
+        sha256=SWEEP_CSV_N14_CAP40, out="s.csv",
     ),
     # criterion 2's SO at .12g
     "score_paper": Row(

@@ -23,6 +23,7 @@ from sombortree.graph import canonical_form, exceeds, sombor_index, validate
 from sombortree.sweep import generate_degree_sequences
 from sombortree.verify import anneal_search, attachment_profile, is_local_max, oracle_max
 
+from conftest import time_limit
 from labeled import enumerate_trees
 from test_verify import merged_profile, profile_bits
 
@@ -55,6 +56,7 @@ def detectors_flagging(weight, monkeypatch):
     [lambda x, y: float(x * y), power(-0.5), power(1.5)],
     ids=["xy", "alpha=-0.5", "alpha=1.5"],
 )
+@time_limit(10)
 def test_every_detector_flags_the_same_beaten_sequences(weight, monkeypatch):
     flagged = detectors_flagging(weight, monkeypatch)
     assert flagged["oracle"]
@@ -63,6 +65,7 @@ def test_every_detector_flags_the_same_beaten_sequences(weight, monkeypatch):
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.75])
+@time_limit(10)
 def test_concave_powers_keep_the_constructor_optimal(alpha, monkeypatch):
     flagged = detectors_flagging(power(alpha), monkeypatch)
     assert flagged == {"oracle": set(), "local_max": set(), "anneal": set()}

@@ -1,11 +1,9 @@
-import functools
 import hashlib
 import heapq
 import itertools
 import json
 import math
 import random
-import signal
 from collections import Counter
 from math import factorial
 
@@ -58,6 +56,7 @@ from sombortree.verify import (
     prufer_space_size,
 )
 
+from conftest import time_limit
 from labeled import _next_permutation, enumerate_trees, prufer_to_tree
 from test_graph import _recursive_canonical_form
 from swaps import _delta, _valid_recombination, apply_swap, swap_delta, two_swap_neighbors
@@ -286,6 +285,52 @@ def test_skeleton_scan_matches_permutation_walk():
         assert got == ref, d
         walked += len(got)
     assert walked == 9_732
+
+
+def scan_bits(scan):
+    return [(so.hex(), tuple(p), list(s), tuple(g)) for so, (p, s, g) in scan]
+
+
+def test_walk_record_is_kept_only_once_complete():
+    # every m <= 9 walked afresh: at the first sequence of each m a scan cut
+    # after half its placements must keep no walk, the first full scan walks
+    # m and keeps it, the second reads what was kept; every later sequence
+    # reads it three times; each time the stream is the permutation walk's.
+    # Largest n first, so that the first sequence of an m has placements on
+    # more than one skeleton and the cut falls inside the walk
+    for m in range(10):
+        verify._WALKS.pop(m, None)
+    for d in reversed(sequences_to(12)):
+        if d.m > 9:
+            continue
+        ref = scan_bits(reference_scan(d))
+        assert scan_bits(itertools.islice(_skeleton_scan(d), len(ref) // 2)) == ref[: len(ref) // 2]
+        assert scan_bits(_skeleton_scan(d)) == ref, d
+        assert d.m in verify._WALKS or d.m == 0
+        assert scan_bits(_skeleton_scan(d)) == ref, d
+
+
+def test_profile_fit_matches_per_tree_filter():
+    # the scan tests each distinct sorted skeleton-degree profile against d
+    # once: the trees it places on must be exactly those the per-tree
+    # sorted(s) filter keeps, in walk order
+    def profile(parent):
+        s = Counter(parent[1:]) + Counter(range(1, len(parent)))
+        return tuple(sorted((s[v] for v in range(len(parent))), reverse=True))
+
+    for d in sequences_to(14):
+        if d.m == 0:
+            continue
+        kept = [p for p in free_trees(d.m) if all(x <= y for x, y in zip(profile(p), d.degrees))]
+        placed = [p for p, _ in itertools.groupby(p for _, (p, _, _) in _skeleton_scan(d))]
+        assert placed == kept, d
+    # and each kept walk holds every free tree with its own profile
+    for m in range(1, 13):
+        parents, pids, profiles = verify._WALKS[m]
+        for i, parent in enumerate(free_trees(m)):
+            assert tuple(parents[i * m : (i + 1) * m]) == parent
+            assert profiles[pids[i]] == profile(parent)
+        assert len(parents) == len(pids) * m == (i + 1) * m
 
 
 def test_placement_code_matches_canonical_form():
@@ -1091,37 +1136,6 @@ def test_attachment_profile_matches_merging_at_each_leaf():
 
 
 # -- annealing ---------------------------------------------------------------
-
-
-class Hung(BaseException):
-    """Raised by time_limit.  Not an Exception, so hypothesis does not catch
-    it and shrink by rerunning the example that hung, with no timer left."""
-
-
-def time_limit(seconds):
-    """Fail the decorated test from inside it after `seconds` of wall time.
-
-    A wrong validity test in anneal_search can leave a cycle in its parent
-    array, and the ancestor walk then never ends: without this, such a
-    change hangs the run instead of failing it."""
-
-    def expire(signum, frame):
-        raise Hung(f"still running after {seconds} s")
-
-    def wrap(test):
-        @functools.wraps(test)
-        def guarded(*args, **kwargs):
-            old = signal.signal(signal.SIGALRM, expire)
-            signal.setitimer(signal.ITIMER_REAL, seconds)
-            try:
-                return test(*args, **kwargs)
-            finally:
-                signal.setitimer(signal.ITIMER_REAL, 0)
-                signal.signal(signal.SIGALRM, old)
-
-        return guarded
-
-    return wrap
 
 
 def test_anneal_322_reaches_oracle():
