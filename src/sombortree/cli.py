@@ -53,6 +53,7 @@ def _cap(args) -> int | None:
 
 
 def _parse_degrees(text: str):
+    text = sys.stdin.read() if text == "-" else text  # one argv string holds at most 128 KiB
     try:
         raw = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:

@@ -4,14 +4,15 @@ Exact maximum by a scan over free skeleton trees (the trees left after
 deleting the leaves, one per isomorphism class; each m's walk is kept once
 per process, as flat parent arrays with one degree profile per tree) with
 every admissible placement of the degrees on them, scored along the
-backtracking that places it, deduplicated by a canonical code read off the
-skeleton, a tree built only per witness; an explicit cap bounds the
-placements scored.  Also degree-preserving 2-swap local search,
-path-inequality and attachment-site checkers, and a seeded simulated
-annealer for instances beyond exhaustive reach.  Both local checks work
-by degree class: the 2-swap scan scores each pair of edge classes once
-and tests validity, O(1) on preorder intervals, only within class pairs
-that could beat the best; the path-inequality check scores each degree
+backtracking that places it; the final ties alone are deduplicated, by a
+canonical code read off the skeleton, and each witness tree is written
+straight from its placement; an explicit cap bounds the placements scored.
+Also degree-preserving 2-swap local search, path-inequality and
+attachment-site checkers, and a seeded simulated annealer for instances
+beyond exhaustive reach.  Both local checks work by degree class: the
+2-swap scan scores each pair of edge classes once and tests validity, O(1)
+on preorder intervals, only within class pairs that could beat the best;
+the path-inequality check roots the skeleton once, scores each degree
 pattern between two leaf supports once, keeps only violated entries and
 walks a path again only when its records are read.  The attachment
 checker builds no merged tree: one fsum per distinct neighbor degree of
@@ -27,7 +28,7 @@ import math
 import random
 import sys
 from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import groupby, islice
 from math import factorial
@@ -35,6 +36,7 @@ from typing import NamedTuple
 
 from sombortree.graph import (
     DegreeSequence,
+    InvalidTreeError,
     NoLeavesError,
     Tree,
     _bfs,
@@ -265,28 +267,40 @@ def _placements(vals, left, parent, s, W):
 
 
 def _hang_leaves(key) -> Tree:
-    """The tree of a placement: skeleton edges, then leaves hung on 0, 1, ..."""
+    """The tree of a placement, written straight from it: v lists its parent,
+    skeleton children, then its hung leaves (ids from m up over v = 0, 1, ...),
+    so sorted.  A parent[v] outside 0..v-1 is an InvalidTreeError."""
     parent, s, deg = key
     m = len(deg)
-    edges = [(parent[v], v) for v in range(1, m)]
-    hung = [v for v in range(m) for _ in range(deg[v] - s[v])]
-    edges += [(v, m + i) for i, v in enumerate(hung)]
-    return Tree.from_edges(m + len(hung), edges)
+    nbrs = [[]] + [[parent[v]] for v in range(1, m)]
+    for v in range(1, m):
+        if not 0 <= parent[v] < v:
+            raise InvalidTreeError(f"parent {parent[v]} of vertex {v} is not in 0..{v - 1}")
+        nbrs[parent[v]].append(v)
+    hung = []  # the hung leaves' adjacency, (v,) for each
+    for v, ns in enumerate(nbrs):
+        ns += range(m + len(hung), m + len(hung) + deg[v] - s[v])
+        hung += [(v,)] * (deg[v] - s[v])
+    return Tree(m + len(hung), (*map(tuple, nbrs), *hung))
 
 
 def _maximizers(scored) -> tuple[float, dict[str, tuple[float, tuple]]]:
     """Max score and its witnesses over (so, placement) pairs: code -> (so,
     placement) for every score the max does not exceed, the first placement
-    in scan order of each canonical form (_placement_code)."""
+    in scan order of each canonical form (_placement_code), coding only the
+    final ties: isomorphic trees score the same bits, so they go together."""
     best = 0.0  # every tree has positive Sombor value
-    wits: dict[str, tuple[float, tuple]] = {}
+    ties = []  # (so, placement) that the running best does not exceed, in scan order
     for so, key in scored:
         if exceeds(best, so):
             continue
         if so > best:
             best = so
-            wits = {c: w for c, w in wits.items() if not exceeds(best, w[0])}
-        wits.setdefault(_placement_code(key), (so, key))
+            ties = [w for w in ties if not exceeds(best, w[0])]
+        ties.append((so, key))
+    wits: dict[str, tuple[float, tuple]] = {}
+    for w in ties:
+        wits.setdefault(_placement_code(w[1]), w)
     return best, wits
 
 
@@ -294,13 +308,13 @@ def oracle_max(d: DegreeSequence, cap: int | None = None) -> OracleResult:
     """Maximum Sombor value over all trees realizing d, by the skeleton scan.
 
     Witnesses are all non-isomorphic trees whose value the max does not
-    exceed (graph.exceeds), a tree built for each.  There is no default
-    cap: without one, or with one at or above the number of admissible
-    skeleton placements, every placement is scored, the result is exact and
-    ``enumerated`` is the labeled tree count prufer_space_size(d).  An
-    explicit cap bounds the placements scored: when more than cap exist,
-    only the first cap are scored, ``enumerated`` is cap and the result is
-    inconclusive (capped=True).
+    exceed (graph.exceeds), a tree written for each from its placement.
+    There is no default cap: without one, or with one at or above the
+    number of admissible skeleton placements, every placement is scored,
+    the result is exact and ``enumerated`` is the labeled tree count
+    prufer_space_size(d).  An explicit cap bounds the placements scored:
+    when more than cap exist, only the first cap are scored, ``enumerated``
+    is cap and the result is inconclusive (capped=True).
     """
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
@@ -416,11 +430,14 @@ def is_local_max(t: Tree) -> LocalMaxReport:
     """
     deg = t.degrees()
     W = weight_table(deg)
-    edges = t.edges()
-    base = math.fsum([W[deg[a]][deg[b]] for a, b in edges])  # sombor_index(t)
-    classes: dict[tuple[int, int], list[int]] = {}  # degrees -> edge indices
-    for i, (a, b) in enumerate(edges):
-        classes.setdefault((deg[a], deg[b]), []).append(i)
+    edges, weights, classes = [], [], {}  # t.edges(), their weights; degrees -> edge indices
+    for a, ns in enumerate(t.adj):  # one pass
+        for b in ns:
+            if a < b:
+                classes.setdefault((deg[a], deg[b]), []).append(len(edges))
+                edges.append((a, b))
+                weights.append(W[deg[a]][deg[b]])
+    base = math.fsum(weights)  # sombor_index(t)
     candidates = []  # (larger delta, d0, d1, P, Q) for an improving class pair
     for (x, y), P in classes.items():
         wx, wy, wp = W[x], W[y], W[x][y]
@@ -561,12 +578,12 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     Only interior degrees enter the inequalities, and for n > 2 the
     interior of the path from leaf a to leaf b is the path from a's
     support (its one neighbour) to b's.  So the inequalities are tested
-    once per ordered pair of support vertices, by one BFS from each
-    support over the internal vertices only, which hold every support and
-    every path between two; both orientations are tested, since the
-    lower-id leaf starts its path.  Which inequalities fail depends only
-    on the degrees along the path, read from its start by the walk up
-    the BFS parents, so the violated entries are computed once per such
+    once per ordered pair of support vertices, on the internal vertices
+    only, which hold every support and every path between two, rooted once
+    at the first support: a pair's path climbs from one end to the other's
+    way up to the root.  Both orientations are tested, since the lower-id
+    leaf starts its path.  Which inequalities fail depends only on the
+    degrees along the path, so the violated entries are computed once per
     degree tuple and shared, read only, by the table entries of every
     path that has it.  The table keeps only those entries, no path; the
     counts need no record, since each ordered support pair's violations
@@ -581,25 +598,32 @@ def check_theorem1(t: Tree) -> Theorem1Report:
         return Theorem1Report(t, paths, 0, 0, {})
     deg = t.degrees()
     support = [t.adj[a][0] for a in leaves]
-    count = list(Counter(support).items())  # (support, its leaf count)
-    skeleton = _skeleton(t.adj, deg)
+    on = {}  # support -> its leaf count, in order of first leaf
+    for s in support:
+        on[s] = on.get(s, 0) + 1
+    count = list(on.items())
+    parent = _bfs(_skeleton(t.adj, deg), support[0])[1]  # rooted once, at the first support
     pairs_for = {}  # interior length -> _path_pairs of it, for this call only
-    hits_for = {}  # degrees from u up to s -> violated entries from u, then from s
+    hits_for = {}  # degrees from u to s -> violated entries from u, then from s
     checked = 0
     table = defaultdict(dict)  # s -> {u: violated entries on the support path s..u}
     for x, (s, cs) in enumerate(count):
         # the leaf pairs on s alone have interior s: one entry, d(v1) >= d(v1)
         checked += cs * (cs - 1) // 2
-        parent = _bfs(skeleton, s)[1]
+        above, at, v = [deg[s]], {s: 0}, s  # degrees from s up to the root; v -> its index
+        while (v := parent[v]) >= 0:
+            at[v] = len(above)
+            above.append(deg[v])
         for u, cu in count[x + 1 :]:
-            along, v = [deg[u]], u  # degrees from u up to s
-            while v != s:
-                v = parent[v]
+            along, v = [], u  # degrees from u up to below where it meets s's way up
+            while v not in at:
                 along.append(deg[v])
-            if (pairs := pairs_for.get(len(along))) is None:
-                pairs = pairs_for[len(along)] = _path_pairs(len(along))
+                v = parent[v]
+            key = (*along, *above[at[v] :: -1])  # degrees from u to s
+            if (pairs := pairs_for.get(len(key))) is None:
+                pairs = pairs_for[len(key)] = _path_pairs(len(key))
             checked += cs * cu * len(pairs)
-            if (both := hits_for.get(key := tuple(along))) is None:  # from u, then from s
+            if (both := hits_for.get(key)) is None:  # from u, then from s
                 both = hits_for[key] = [[e for e in pairs if p[e[3]] < p[e[4]]]
                                         for p in ((1, *key), (1, *key[::-1]))]
             hu, hs = both
@@ -608,12 +632,12 @@ def check_theorem1(t: Tree) -> Theorem1Report:
             if hs:
                 table[s][u] = hs
     # no table row holds its own support, so a run's own pairs add no violation
-    violations, later = 0, Counter()  # the supports of the leaves after this run
+    violations, later = 0, {}  # the supports of the leaves after this run, counted
     for s, run in groupby(reversed(support)):  # from the highest leaf id down
         c = len(list(run))
         if row := table.get(s):
-            violations += c * sum(later[u] * len(h) for u, h in row.items())
-        later[s] += c
+            violations += c * sum(later.get(u, 0) * len(h) for u, h in row.items())
+        later[s] = later.get(s, 0) + c
     return Theorem1Report(t, paths, checked, violations, dict(table))
 
 

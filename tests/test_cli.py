@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import math
 
@@ -11,7 +13,7 @@ from sombortree.graph import Tree, canonical_form, sombor_index, validate
 from sombortree.sweep import read_csv
 
 from conftest import time_limit
-from test_console import SEARCH_ARGV, SEARCH_OUT
+from test_console import M100K, SEARCH_ARGV, SEARCH_OUT, run_python, sombor
 
 # not the maximum for 3,2,2: both 2s hang off the 3
 SPIDER_322 = Tree.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)])
@@ -318,6 +320,34 @@ def test_reused_parser_keeps_no_state(capsys, monkeypatch):
 def test_bad_degrees_exit_1(capsys):
     assert run(["construct", "--degrees", "3,x"]) == 1
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["construct"], ["check"], ["verify"], ["search", "--budget", "9", "--seed", "1"]],
+    ids=lambda argv: argv[0],
+)
+def test_degrees_dash_reads_stdin(capsys, monkeypatch, argv):
+    # "-" reads the list from stdin, trailing newline and all; a malformed
+    # list there is the same usage error as on the command line
+    assert run([*argv, "--degrees", "5,5,5,4,3,3,2,2"]) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO("5,5,5,4,3,3,2,2\n"))
+    assert run([*argv, "--degrees", "-"]) == 0
+    assert capsys.readouterr() == expected
+    monkeypatch.setattr("sys.stdin", io.StringIO("3,x\n"))
+    assert run([*argv, "--degrees", "-"]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed degree list '3,x\\n'")
+
+
+def test_degrees_from_stdin_in_a_process_match_run(capsys):
+    # 10^5 degrees are too long for one argument, so a shell can pass them
+    # only on stdin; the output is cli.run's with the list as its argument
+    assert run(["construct", "--degrees", M100K]) == 0
+    expected = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    code, out, err = run_python(sombor("construct", "--degrees", "-"), stdin=M100K.encode())
+    assert (code, err) == (0, b"")
+    assert hashlib.sha256(out).hexdigest() == expected
 
 
 @pytest.mark.parametrize(

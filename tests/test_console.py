@@ -9,8 +9,10 @@ this file from outside the checkout with no PYTHONPATH.
 import hashlib
 import os
 import random
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,6 +39,9 @@ PAPER = "5,5,5,4,3,3,2,2"
 M150 = draw(7, 150, 3, 5)  # where the class-pair and degree-pattern skips do the most
 M2000 = draw(CONSTRUCT_M2000["m2000_deg2to40"][0], 2000, 2, 40)
 M2000_SHA256 = CONSTRUCT_M2000["m2000_deg2to40"][2]  # of the JSON less its newline
+# 199,999 bytes: one argument holds at most 131,072, so only stdin takes them
+M100K = draw(11, 100_000, 3, 5)
+M100K_SHA256 = "f16db22afb8aed8bc63b6b27fc99d85f5661684e460b46e4338f3b0bfeb98ed2"
 
 # the paper's sequence through both checkers: 105 paths, 717 inequalities
 # checked, 80 violated with one record each, and a 2-swap local maximum
@@ -82,6 +87,11 @@ SWEEP_CSV_N16 = "f20a7391200e0fa17dff01d904a7376d0d56aeedd92ee648243b44efe938eb4
 SWEEP_CSV_N14_CAP40 = "8eb4c97e4921b228189ae7afa83393fd8656d8c7b5ceaa82283d4bf7bfe4394c"
 
 
+#: Seconds a row's child may run before it is killed and the row fails;
+#: the slowest row, sweep_n16, takes under a second.
+TIMEOUT = 60
+
+
 class Row(NamedTuple):
     """``python *cmd`` after the commands ``before``, which must exit 0;
     ``{tmp}`` in an argument is the row's temp dir.  The checked bytes are
@@ -96,6 +106,7 @@ class Row(NamedTuple):
     err: str = ""  # stderr is one line starting with this; "": stderr is empty
     read: int | None = None  # bytes read before stdout is closed; 0: closed at start
     before: tuple = ()
+    stdin: bytes | None = None  # fed to cmd unless `read` is set; None: inherited
 
 
 ROWS = {
@@ -108,6 +119,9 @@ ROWS = {
     "construct_paper": Row(sombor("construct", "--degrees", PAPER), sha256=CONSTRUCT_GOLDEN[PAPER]),
     "construct_m2000": Row(
         sombor("construct", "--degrees", M2000), sha256=M2000_SHA256, strip=b"\n"
+    ),
+    "construct_m100k_stdin": Row(
+        sombor("construct", "--degrees", "-"), sha256=M100K_SHA256, stdin=f"{M100K}\n".encode()
     ),
     "construct_m2000_out": Row(
         sombor("construct", "--degrees", M2000, "--out", "{tmp}/c.json"),
@@ -154,22 +168,30 @@ ROWS = {
 }
 
 
-def run_python(cmd, read=None):
-    """(exit code, stdout, stderr) of ``python *cmd``."""
+def run_python(cmd, read=None, stdin=None):
+    """(exit code, stdout, stderr) of ``python *cmd``, with stdin fed to it
+    when all of stdout is read.  A child still running after TIMEOUT seconds
+    is killed, and subprocess.TimeoutExpired fails the row."""
     argv = [sys.executable, *cmd]
     if read is None:
-        proc = subprocess.run(argv, capture_output=True, env=ENV, timeout=300)
+        proc = subprocess.run(argv, input=stdin, capture_output=True, env=ENV, timeout=TIMEOUT)
         return proc.returncode, proc.stdout, proc.stderr
     r, w = os.pipe()
     if not read:
         os.close(r)
     with subprocess.Popen(argv, stdout=w, stderr=subprocess.PIPE, env=ENV) as proc:
         os.close(w)
+        timer = threading.Timer(TIMEOUT, proc.kill)  # ends both reads below
+        timer.start()
         out = os.read(r, read) if read else b""
         if read:
             os.close(r)
         err = proc.stderr.read()
-        return proc.wait(timeout=300), out, err
+        code = proc.wait()
+        timer.cancel()
+    if code == -signal.SIGKILL:
+        raise subprocess.TimeoutExpired(argv, TIMEOUT, out, err)
+    return code, out, err
 
 
 @pytest.mark.parametrize("row", ROWS.values(), ids=ROWS.keys())
@@ -177,7 +199,7 @@ def test_console(row, tmp_path):
     *before, cmd = ([a.replace("{tmp}", str(tmp_path)) for a in c] for c in (*row.before, row.cmd))
     for c in before:
         assert run_python(c)[0] == 0
-    code, out, err = run_python(cmd, row.read)
+    code, out, err = run_python(cmd, row.read, row.stdin)
     assert code == row.code, err
     if row.out:
         out = (tmp_path / row.out).read_bytes()

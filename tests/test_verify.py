@@ -18,6 +18,7 @@ from sombortree.graph import (
     NoLeavesError,
     Tree,
     _bfs,
+    _skeleton,
     canonical_form,
     exceeds,
     leaf_layer_profile,
@@ -41,9 +42,11 @@ from sombortree.verify import (
     LocalMaxReport,
     PathInequalityRecord,
     SwapMove,
+    Theorem1Report,
     _edge_intervals,
     _hang_leaves,
     _maximizers,
+    _path_pairs,
     _placement_code,
     _reroot,
     _skeleton_scan,
@@ -361,11 +364,13 @@ def test_placement_code_matches_recursive_reference():
     # an independent reference for the oracle's codes: the recursive AHU
     # code of each placement's tree, at both centers when there are two;
     # every placement with n <= 14: the lone edge, m = 2, and 4,356 trees
-    # with two centers among them
+    # with two centers among them.  The tree _hang_leaves writes straight
+    # from the placement is the one Tree.from_edges builds from its edges
     seen, bicentral = 0, 0
     for d in sequences_to(14):
         for _, key in _skeleton_scan(d):
             tree = _hang_leaves(key)
+            assert tree == placement_tree(key), key
             assert _placement_code(key) == _recursive_canonical_form(tree), key
             seen += 1
             bicentral += len(tree_centers(tree.adj)) == 2
@@ -382,6 +387,40 @@ def test_hang_leaves_rejects_a_placement_that_is_not_a_tree():
     # vertices 1 and 2 point at each other, cut off from vertex 0
     with pytest.raises(InvalidTreeError):
         _hang_leaves(((-1, 2, 1), [0, 2, 2], (1, 2, 2)))
+
+
+@pytest.mark.parametrize("parent", [(-1, -1, 1), (-1, 0, 2), (-1, 0, 3)])
+def test_hang_leaves_rejects_a_parent_outside_the_earlier_vertices(parent):
+    # a parent of -1, of v itself, or past the skeleton: vertex 3 would be
+    # a hung leaf's id, which Tree.from_edges cannot tell from a skeleton one
+    with pytest.raises(InvalidTreeError):
+        _hang_leaves((parent, [0, 1, 1], (2, 2, 2)))
+
+
+def coding_every_tie(scored):
+    """_maximizers as it coded every placement the running best did not
+    exceed, dropping codes as the best rose: the reference for coding the
+    final ties only."""
+    best, wits = 0.0, {}
+    for so, key in scored:
+        if exceeds(best, so):
+            continue
+        if so > best:
+            best = so
+            wits = {c: w for c, w in wits.items() if not exceeds(best, w[0])}
+        wits.setdefault(_placement_code(key), (so, key))
+    return best, wits
+
+
+def test_final_ties_match_coding_every_tie():
+    # every sequence with n <= 14, whole and cut after 1, 2, 3, 5, 8 and 13
+    # placements: the same max bits and the same first placement per code
+    for d in sequences_to(14):
+        scored = list(_skeleton_scan(d))
+        for cap in (1, 2, 3, 5, 8, 13, None):
+            best, wits = _maximizers(scored[:cap])
+            ref_best, ref_wits = coding_every_tie(scored[:cap])
+            assert best.hex() == ref_best.hex() and wits == ref_wits, (d, cap)
 
 
 def test_witness_trees_are_their_placements():
@@ -842,6 +881,85 @@ def test_streamed_theorem1_matches_reference_on_constructed_trees():
     assert len(seqs) == 271
     for d in seqs:
         assert_theorem1_matches_reference(construct_max_tree(d))
+
+
+def per_support_theorem1(t):
+    """check_theorem1's counts and table by one skeleton BFS from each
+    support and a walk up its parents from every later support: the
+    reference for rooting the skeleton once."""
+    leaves = t.leaves()
+    paths = len(leaves) * (len(leaves) - 1) // 2
+    if t.n <= 2:
+        return Theorem1Report(t, paths, 0, 0, {})
+    deg = t.degrees()
+    support = [t.adj[a][0] for a in leaves]
+    count = list(Counter(support).items())
+    skeleton = _skeleton(t.adj, deg)
+    checked, table = 0, {}
+    for x, (s, cs) in enumerate(count):
+        checked += cs * (cs - 1) // 2
+        parent = _bfs(skeleton, s)[1]
+        for u, cu in count[x + 1 :]:
+            along, v = [deg[u]], u  # degrees from u up to s
+            while v != s:
+                v = parent[v]
+                along.append(deg[v])
+            pairs = _path_pairs(len(along))
+            checked += cs * cu * len(pairs)
+            for a, b, p in ((u, s, (1, *along)), (s, u, (1, *along[::-1]))):
+                if hits := [e for e in pairs if p[e[3]] < p[e[4]]]:
+                    table.setdefault(a, {})[b] = hits
+    violations, later = 0, Counter()
+    for s, run in itertools.groupby(reversed(support)):
+        c = len(list(run))
+        if row := table.get(s):
+            violations += c * sum(later[u] * len(h) for u, h in row.items())
+        later[s] += c
+    return Theorem1Report(t, paths, checked, violations, table)
+
+
+def assert_theorem1_matches_per_support(t):
+    report, ref = check_theorem1(t), per_support_theorem1(t)
+    assert report == ref  # paths, checked, violations and table
+    assert [(s, [*row.items()]) for s, row in report.table.items()] == [
+        (s, [*row.items()]) for s, row in ref.table.items()
+    ]
+    assert report.violating == ref.violating
+
+
+@st.composite
+def first_support_trees(draw):
+    """Random trees relabeled so that vertex 0 is a leaf, or so that the
+    lowest-id leaf is one farthest from vertex 0: the skeleton is then
+    rooted at a support other than vertex 0's, deep in the tree."""
+    t = draw(random_trees(max_n=40))
+    leaves = t.leaves()
+    if draw(st.booleans()):
+        x, y = 0, draw(st.sampled_from(leaves))
+    else:
+        x, y = leaves[0], _bfs(t.adj, 0)[0][-1]  # the last vertex in BFS order is a leaf
+    label = list(range(t.n))
+    label[x], label[y] = y, x
+    return Tree.from_edges(t.n, [(label[a], label[b]) for a, b in t.edges()])
+
+
+@given(first_support_trees())
+@settings(max_examples=300, deadline=None)
+def test_theorem1_matches_per_support_walks(t):
+    assert_theorem1_matches_per_support(t)
+
+
+def test_theorem1_matches_per_support_walks_on_a_deep_caterpillar():
+    # the spine 0..1099 with 951 leaves on 0 and 949 on 1099, 3,000
+    # vertices: the lowest-id leaf, 1100, hangs on 1099, so the skeleton is
+    # rooted there and the one support pair's path climbs 1,099 vertices,
+    # past the default recursion limit.  Only leaf 1100 starts a path on
+    # 1099 and ends it on 0, where d(v1) >= d(v1100) reads 950 >= 952: 951
+    # violations, one per leaf on 0
+    hung = {0: range(1101, 2052), 1099: [1100, *range(2052, 3000)]}
+    t = _leaves_on(3000, [(i, i + 1) for i in range(1099)], hung)
+    assert_theorem1_matches_per_support(t)
+    assert check_theorem1(t).violations == 951
 
 
 def _leaves_on(n, spine, hung):
