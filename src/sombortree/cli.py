@@ -53,11 +53,18 @@ def _cap(args) -> int | None:
 
 
 def _parse_degrees(text: str):
+    """The DegreeSequence of a comma-separated list, or of stdin's for "-";
+    the error for an entry int() refuses names its place and its first 20
+    characters, never the whole list."""
     text = sys.stdin.read() if text == "-" else text  # one argv string holds at most 128 KiB
-    try:
-        raw = [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise _UsageError(f"malformed degree list {text!r}") from exc
+    raw = []
+    for i, x in enumerate(text.split(","), 1):
+        if x := x.strip():
+            try:
+                raw.append(int(x))
+            except ValueError:
+                cut = f"{x[:20]!r}..." if len(x) > 20 else repr(x)
+                raise _UsageError(f"malformed degree list: entry {i} is {cut}") from None
     try:
         return validate(raw)
     except DegreeSequenceError as exc:

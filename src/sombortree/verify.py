@@ -12,8 +12,9 @@ attachment-site checkers, and a seeded simulated annealer for instances
 beyond exhaustive reach.  Both local checks work by degree class: the
 2-swap scan scores each pair of edge classes once and tests validity, O(1)
 on preorder intervals, only within class pairs that could beat the best;
-the path-inequality check roots the skeleton once, scores each degree
-pattern between two leaf supports once, keeps only violated entries and
+the path-inequality check roots the tree once at the first support, scores
+each degree pattern between two leaf supports once against inequality
+tables kept per process for short paths, keeps only violated entries and
 walks a path again only when its records are read.  The attachment
 checker builds no merged tree: one fsum per distinct neighbor degree of
 the host's leaves, over the host's and the subtree's edge weights, in
@@ -41,7 +42,6 @@ from sombortree.graph import (
     Tree,
     _bfs,
     _placement_code,
-    _skeleton,
     exceeds,
     sombor_index,
     weight_table,
@@ -489,6 +489,10 @@ class PathInequalityRecord(NamedTuple):
         return {**self._asdict(), "path": list(self.path)}
 
 
+_PAIRS_KEPT = 32  # _path_pairs tables for fewer interior vertices are kept per process
+_PAIRS: dict[int, tuple] = {}  # k -> _path_pairs(k), for k < _PAIRS_KEPT
+
+
 def _path_pairs(k: int) -> tuple[tuple[int, int, int, int, int], ...]:
     """The (i, li, ri, hi, lo) inequalities on a path with k interior vertices.
 
@@ -497,8 +501,9 @@ def _path_pairs(k: int) -> tuple[tuple[int, int, int, int, int], ...]:
     i = 2 the mirror lies before i, which leaves the single pair (2, 1).
     Odd i demands d(v_li) >= d(v_ri), even i d(v_li) <= d(v_ri); (hi, lo)
     orders (li, ri) so that each inequality reads d(v_hi) >= d(v_lo), the
-    one test.  Callers cache it per tree: a table has O(k^2) entries, so a
-    process-wide cache would keep the largest ones alive.
+    one test.  A table has O(k^2) entries, so check_theorem1 keeps the
+    tables with k < _PAIRS_KEPT in _PAIRS for the process, built on first
+    use, and the longer ones for one call only.
     """
     pairs = []
     for i in range(1, min(k, (k + 2) // 2) + 1):
@@ -535,13 +540,13 @@ class Theorem1Report:
     @functools.cached_property
     def violating(self) -> tuple[PathInequalityRecord, ...]:
         """The violated inequalities, by leaf pair (by id), then table order;
-        the support paths are walked here, one skeleton BFS per table row."""
+        the support paths are walked here, one BFS from each table row's
+        support, which is internal, so its parent walks stay internal."""
         leaves, deg = self.tree.leaves(), self.tree.degrees()
         support = [self.tree.adj[a][0] for a in leaves]
-        skeleton = _skeleton(self.tree.adj, deg)
         fields = {}  # s -> {u: (support path s..u, its records' other fields)}
         for s, row in self.table.items():
-            parent = _bfs(skeleton, s)[1]
+            parent = _bfs(self.tree.adj, s)[1]
             out = fields[s] = {}
             for u, hits in row.items():
                 path = [u]
@@ -578,33 +583,34 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     Only interior degrees enter the inequalities, and for n > 2 the
     interior of the path from leaf a to leaf b is the path from a's
     support (its one neighbour) to b's.  So the inequalities are tested
-    once per ordered pair of support vertices, on the internal vertices
-    only, which hold every support and every path between two, rooted once
-    at the first support: a pair's path climbs from one end to the other's
-    way up to the root.  Both orientations are tested, since the lower-id
-    leaf starts its path.  Which inequalities fail depends only on the
-    degrees along the path, so the violated entries are computed once per
-    degree tuple and shared, read only, by the table entries of every
-    path that has it.  The table keeps only those entries, no path; the
-    counts need no record, since each ordered support pair's violations
-    count once per leaf pair on it (lower-id leaf first), summed once per
-    run of consecutive leaf ids on one support (a constructed tree has one
-    run per support).  ``violating`` walks the paths again and builds the
-    records on first read.
+    once per ordered pair of support vertices.  The tree is rooted once,
+    at the first support: it is internal, so the path between two internal
+    vertices climbs from one end to the other's way up to the root through
+    internal vertices only.  Both orientations are tested, since the
+    lower-id leaf starts its path.  Which inequalities fail depends only on
+    the degrees along the path, so one lookup per support pair, on its
+    degree tuple, gives the pair count and the violated entries from
+    either end, computed once per tuple and shared, read only, by the
+    table entries of every path that has it.  The table keeps only those
+    entries, no path; the counts need no record, since each ordered
+    support pair's violations count once per leaf pair on it (lower-id
+    leaf first), summed once per run of consecutive leaf ids on one
+    support (a constructed tree has one run per support).  ``violating``
+    walks the paths again and builds the records on first read.
     """
-    leaves = t.leaves()
+    deg = list(map(len, t.adj))
+    leaves = [v for v, c in enumerate(deg) if c == 1]
     paths = len(leaves) * (len(leaves) - 1) // 2
     if t.n <= 2:  # the lone edge's one path has no interior
         return Theorem1Report(t, paths, 0, 0, {})
-    deg = t.degrees()
     support = [t.adj[a][0] for a in leaves]
     on = {}  # support -> its leaf count, in order of first leaf
     for s in support:
         on[s] = on.get(s, 0) + 1
     count = list(on.items())
-    parent = _bfs(_skeleton(t.adj, deg), support[0])[1]  # rooted once, at the first support
-    pairs_for = {}  # interior length -> _path_pairs of it, for this call only
-    hits_for = {}  # degrees from u to s -> violated entries from u, then from s
+    parent = _bfs(t.adj, support[0])[1]  # rooted once, at the first support
+    longer = {}  # interior length -> _path_pairs of it, at or past _PAIRS_KEPT, this call only
+    seen = {}  # key -> (pair count, violated entries from u, from s)
     checked = 0
     table = defaultdict(dict)  # s -> {u: violated entries on the support path s..u}
     for x, (s, cs) in enumerate(count):
@@ -614,23 +620,28 @@ def check_theorem1(t: Tree) -> Theorem1Report:
         while (v := parent[v]) >= 0:
             at[v] = len(above)
             above.append(deg[v])
+        across = 0  # the entries checked from s, per leaf on s
         for u, cu in count[x + 1 :]:
             along, v = [], u  # degrees from u up to below where it meets s's way up
             while v not in at:
                 along.append(deg[v])
                 v = parent[v]
-            key = (*along, *above[at[v] :: -1])  # degrees from u to s
-            if (pairs := pairs_for.get(len(key))) is None:
-                pairs = pairs_for[len(key)] = _path_pairs(len(key))
-            checked += cs * cu * len(pairs)
-            if (both := hits_for.get(key)) is None:  # from u, then from s
-                both = hits_for[key] = [[e for e in pairs if p[e[3]] < p[e[4]]]
-                                        for p in ((1, *key), (1, *key[::-1]))]
-            hu, hs = both
+            key = (1, *along, *above[at[v] :: -1])  # a leaf's 1, then the degrees from u to s
+            if (hit := seen.get(key)) is None:
+                k = len(key) - 1
+                kept = _PAIRS if k < _PAIRS_KEPT else longer
+                if (pairs := kept.get(k)) is None:
+                    pairs = kept[k] = _path_pairs(k)
+                rev = (1, *key[:0:-1])  # the same from s; key[-i] would make an int per read past 256
+                hit = seen[key] = (len(pairs), [e for e in pairs if key[e[3]] < key[e[4]]],
+                                   [e for e in pairs if rev[e[3]] < rev[e[4]]])
+            npairs, hu, hs = hit
+            across += cu * npairs
             if hu:
                 table[u][s] = hu
             if hs:
                 table[s][u] = hs
+        checked += cs * across
     # no table row holds its own support, so a run's own pairs add no violation
     violations, later = 0, {}  # the supports of the leaves after this run, counted
     for s, run in groupby(reversed(support)):  # from the highest leaf id down

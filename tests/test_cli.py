@@ -337,7 +337,36 @@ def test_degrees_dash_reads_stdin(capsys, monkeypatch, argv):
     assert capsys.readouterr() == expected
     monkeypatch.setattr("sys.stdin", io.StringIO("3,x\n"))
     assert run([*argv, "--degrees", "-"]) == 1
-    assert capsys.readouterr().err.startswith("error: malformed degree list '3,x\\n'")
+    error, usage = capsys.readouterr().err.splitlines()
+    assert error == "error: malformed degree list: entry 2 is 'x'"
+    assert usage.startswith("usage: sombor ")
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("3,,x", "entry 3 is 'x'"),  # empty entries keep their place
+        (" 2 , 3 ,2.5", "entry 3 is '2.5'"),
+        ("3," + "7" * 19 + "z", "entry 2 is '" + "7" * 19 + "z'"),
+        ("3," + "7" * 20 + "z", "entry 2 is '" + "7" * 20 + "'..."),
+    ],
+)
+def test_malformed_degrees_name_the_first_bad_entry(capsys, text, error):
+    assert run(["construct", "--degrees", text]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == f"error: malformed degree list: {error}"
+    assert len(lines) == 2 and lines[1].startswith("usage: sombor ")
+
+
+def test_malformed_degrees_on_stdin_are_not_echoed(capsys, monkeypatch):
+    # 10^5 degrees and one x: the error names the x, not the 200,002 bytes;
+    # test_console runs the same input in a process
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{M100K},x\n"))
+    assert run(["construct", "--degrees", "-"]) == 1
+    out, err = capsys.readouterr()
+    error, usage = err.splitlines(keepends=True)
+    assert (out, error) == ("", "error: malformed degree list: entry 100001 is 'x'\n")
+    assert len(error.encode()) < 200 and usage.startswith("usage: sombor ")
 
 
 def test_degrees_from_stdin_in_a_process_match_run(capsys):

@@ -104,6 +104,7 @@ class Row(NamedTuple):
     strip: bytes = b""
     out: str | None = None
     err: str = ""  # stderr is one line starting with this; "": stderr is empty
+    usage: bool = False  # err's line is followed by the parser's usage line
     read: int | None = None  # bytes read before stdout is closed; 0: closed at start
     before: tuple = ()
     stdin: bytes | None = None  # fed to cmd unless `read` is set; None: inherited
@@ -165,6 +166,11 @@ ROWS = {
     "construct_past_maxsize": Row(
         sombor("construct", "--degrees", "99999999999999999999"), 1, err="error: input too large: "
     ),
+    # a usage error names the bad entry and never echoes the 200,002-byte list
+    "construct_m100k_stdin_malformed": Row(
+        sombor("construct", "--degrees", "-"), 1, "", stdin=f"{M100K},x\n".encode(),
+        err="error: malformed degree list: entry 100001 is 'x'\n", usage=True,
+    ),
 }
 
 
@@ -209,6 +215,8 @@ def test_console(row, tmp_path):
         assert out.endswith(row.strip)
         assert hashlib.sha256(out[: len(out) - len(row.strip)]).hexdigest() == row.sha256
     if row.err:
-        assert err.count(b"\n") == 1 and err.startswith(row.err.encode()), err
+        assert err.count(b"\n") == 1 + row.usage and err.startswith(row.err.encode()), err
+        if row.usage:
+            assert err.split(b"\n")[1].startswith(b"usage: sombor "), err
     else:
         assert err == b""

@@ -886,7 +886,7 @@ def test_streamed_theorem1_matches_reference_on_constructed_trees():
 def per_support_theorem1(t):
     """check_theorem1's counts and table by one skeleton BFS from each
     support and a walk up its parents from every later support: the
-    reference for rooting the skeleton once."""
+    reference for rooting the whole tree once."""
     leaves = t.leaves()
     paths = len(leaves) * (len(leaves) - 1) // 2
     if t.n <= 2:
@@ -960,6 +960,32 @@ def test_theorem1_matches_per_support_walks_on_a_deep_caterpillar():
     t = _leaves_on(3000, [(i, i + 1) for i in range(1099)], hung)
     assert_theorem1_matches_per_support(t)
     assert check_theorem1(t).violations == 951
+    # the table for the 1,100 interior vertices served that call only
+    assert 1100 not in verify._PAIRS
+    assert all(k < verify._PAIRS_KEPT for k in verify._PAIRS)
+
+
+def test_theorem1_matches_per_support_walks_on_large_check_trees():
+    # the large benchmark's check shape: m = 10..18, degrees drawn from 3..5
+    for seed in range(30):
+        rng = random.Random(seed)
+        d = validate([rng.randint(3, 5) for _ in range(rng.randint(10, 18))])
+        assert_theorem1_matches_per_support(construct_max_tree(d))
+
+
+def test_short_path_pair_tables_are_kept_once_per_process():
+    t = construct_max_tree(validate([5, 5, 5, 4, 3, 3, 2, 2]))
+    first = check_theorem1(t)
+    assert first.violations == 80
+    kept = dict(verify._PAIRS)
+    assert kept and all(k < verify._PAIRS_KEPT for k in kept)
+    assert check_theorem1(t) == first
+    # a repeat call reads the kept tables, which equal a fresh build
+    assert all(verify._PAIRS[k] is pairs for k, pairs in kept.items())
+    assert all(pairs == _path_pairs(k) and pairs is not _path_pairs(k) for k, pairs in kept.items())
+    # the violated entries a report holds are the kept tables' own
+    ids = {id(e) for pairs in verify._PAIRS.values() for e in pairs}
+    assert all(id(e) in ids for row in first.table.values() for hits in row.values() for e in hits)
 
 
 def _leaves_on(n, spine, hung):
