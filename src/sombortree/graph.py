@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 #: Relative tolerance under which two Sombor values are considered equal.
@@ -275,14 +276,15 @@ def canonical_form(t: Tree) -> str:
 
     For bicentric trees the lexicographically smaller of the two rooted
     codes is used.  _placement_code reads it off the skeleton, numbered by
-    one BFS from the lower center (n <= 2: one vertex, degree 0 or 1).
+    one BFS from the lower center with the leaves left out; a leaf queues
+    nothing, so that is skeleton BFS order (n <= 2: one vertex, degree 0 or 1).
     """
     deg = t.degrees()
-    skeleton = _skeleton(t.adj, deg)
-    order, parent = _bfs(skeleton, tree_centers(t.adj)[0])
+    order, parent = _bfs(t.adj, tree_centers(t.adj)[0])
+    order = order[:1] + [v for v in order[1:] if deg[v] > 1]
     label = {v: i for i, v in enumerate(order)}
     up = [-1] + [label[parent[v]] for v in order[1:]]
-    return _placement_code((up, [len(skeleton[v]) for v in order], [deg[v] for v in order]))
+    return _placement_code((up, _skeleton_degrees(up), [deg[v] for v in order]))
 
 
 def tree_centers(adj) -> list[int]:
@@ -300,9 +302,13 @@ def tree_centers(adj) -> list[int]:
     return sorted(path[(k - 1) // 2 : k // 2 + 1])
 
 
-def _skeleton(adj, deg):
-    """Adjacency over the internal vertices only, () for every leaf."""
-    return [[u for u in ns if deg[u] > 1] if len(ns) > 1 else () for ns in adj]
+def _skeleton_degrees(parent) -> list[int]:
+    """Each vertex's degree in the tree of a parent array (parent[v] < v)."""
+    s = [1] * len(parent)
+    s[0] = 0
+    for p in islice(parent, 1, None):
+        s[p] += 1
+    return s
 
 
 def _placement_code(key) -> str:

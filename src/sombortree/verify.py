@@ -42,6 +42,7 @@ from sombortree.graph import (
     Tree,
     _bfs,
     _placement_code,
+    _skeleton_degrees,
     exceeds,
     sombor_index,
     weight_table,
@@ -183,14 +184,6 @@ def _walk_record(m: int):
         _WALKS[m] = parents, pids, profiles
 
     return parents, profiles, walk()
-
-
-def _skeleton_degrees(parent) -> list[int]:
-    s = [1] * len(parent)
-    s[0] = 0
-    for p in islice(parent, 1, None):
-        s[p] += 1
-    return s
 
 
 def _skeleton_scan(d: DegreeSequence):
@@ -503,7 +496,7 @@ def _path_pairs(k: int) -> tuple[tuple[int, int, int, int, int], ...]:
     orders (li, ri) so that each inequality reads d(v_hi) >= d(v_lo), the
     one test.  A table has O(k^2) entries, so check_theorem1 keeps the
     tables with k < _PAIRS_KEPT in _PAIRS for the process, built on first
-    use, and the longer ones for one call only.
+    use, and builds a longer one for each degree pattern that needs it.
     """
     pairs = []
     for i in range(1, min(k, (k + 2) // 2) + 1):
@@ -511,19 +504,6 @@ def _path_pairs(k: int) -> tuple[tuple[int, int, int, int, int], ...]:
         for li, ri in [(i, mirror)] + [(mirror, j) for j in range(i + 1, mirror + 1)]:
             pairs.append((i, li, ri, li, ri) if i % 2 else (i, li, ri, ri, li))
     return tuple(pairs)
-
-
-def _record_fields(degrees, i: int, li: int, ri: int, hi: int, lo: int) -> dict:
-    """The fields of the record of one _path_pairs entry but its path, on a
-    path whose vertex degrees are degrees (leaf first)."""
-    return {
-        "i": i,
-        "parity": "odd" if i % 2 else "even",
-        "inequality": f"d(v{li}) {'>=' if i % 2 else '<='} d(v{ri})",
-        "lhs_degree": degrees[li],
-        "rhs_degree": degrees[ri],
-        "holds": degrees[hi] >= degrees[lo],
-    }
 
 
 @dataclass(frozen=True)
@@ -540,20 +520,31 @@ class Theorem1Report:
     @functools.cached_property
     def violating(self) -> tuple[PathInequalityRecord, ...]:
         """The violated inequalities, by leaf pair (by id), then table order;
-        the support paths are walked here, one BFS from each table row's
-        support, which is internal, so its parent walks stay internal."""
+        the support paths are walked here, on the rooting check_theorem1
+        counts on: each climbs from u to where it meets s's way up."""
+        if not self.table:
+            return ()
         leaves, deg = self.tree.leaves(), self.tree.degrees()
         support = [self.tree.adj[a][0] for a in leaves]
-        fields = {}  # s -> {u: (support path s..u, its records' other fields)}
+        parent = _bfs(self.tree.adj, support[0])[1]
+        fields = {}  # s -> {u: (support path s..u, its records' fields but the path)}
         for s, row in self.table.items():
-            parent = _bfs(self.tree.adj, s)[1]
+            up, at, v = [s], {s: 0}, s  # s's way up to the root; v -> its index
+            while (v := parent[v]) >= 0:
+                at[v] = len(up)
+                up.append(v)
             out = fields[s] = {}
             for u, hits in row.items():
-                path = [u]
-                while path[-1] != s:
-                    path.append(parent[path[-1]])
-                degs = [1] + [deg[v] for v in reversed(path)]
-                out[u] = (path[::-1], [_record_fields(degs, *e) for e in hits])
+                along, v = [], u  # from u up to below where it meets s's way up
+                while v not in at:
+                    along.append(v)
+                    v = parent[v]
+                path = (*up[: at[v] + 1], *reversed(along))
+                degs = (1, *[deg[v] for v in path])
+                out[u] = (path, [(i, "odd" if i % 2 else "even",
+                                  f"d(v{li}) {'>=' if i % 2 else '<='} d(v{ri})",
+                                  degs[li], degs[ri], degs[hi] >= degs[lo])
+                                 for i, li, ri, hi, lo in hits])
         violating = []
         for x, a in enumerate(leaves):
             if (row := fields.get(support[x])) is None:
@@ -561,7 +552,7 @@ class Theorem1Report:
             for b, u in zip(leaves[x + 1 :], support[x + 1 :]):
                 if (hit := row.get(u)) is not None:
                     path = (a, *hit[0], b)
-                    violating += [PathInequalityRecord(path=path, **f) for f in hit[1]]
+                    violating += [PathInequalityRecord(path, *f) for f in hit[1]]
         return tuple(violating)
 
     def to_dict(self) -> dict:
@@ -596,7 +587,7 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     support pair's violations count once per leaf pair on it (lower-id
     leaf first), summed once per run of consecutive leaf ids on one
     support (a constructed tree has one run per support).  ``violating``
-    walks the paths again and builds the records on first read.
+    builds the records on first read, on the same rooting.
     """
     deg = list(map(len, t.adj))
     leaves = [v for v, c in enumerate(deg) if c == 1]
@@ -609,7 +600,6 @@ def check_theorem1(t: Tree) -> Theorem1Report:
         on[s] = on.get(s, 0) + 1
     count = list(on.items())
     parent = _bfs(t.adj, support[0])[1]  # rooted once, at the first support
-    longer = {}  # interior length -> _path_pairs of it, at or past _PAIRS_KEPT, this call only
     seen = {}  # key -> (pair count, violated entries from u, from s)
     checked = 0
     table = defaultdict(dict)  # s -> {u: violated entries on the support path s..u}
@@ -629,9 +619,10 @@ def check_theorem1(t: Tree) -> Theorem1Report:
             key = (1, *along, *above[at[v] :: -1])  # a leaf's 1, then the degrees from u to s
             if (hit := seen.get(key)) is None:
                 k = len(key) - 1
-                kept = _PAIRS if k < _PAIRS_KEPT else longer
-                if (pairs := kept.get(k)) is None:
-                    pairs = kept[k] = _path_pairs(k)
+                if (pairs := _PAIRS.get(k)) is None:
+                    pairs = _path_pairs(k)
+                    if k < _PAIRS_KEPT:
+                        _PAIRS[k] = pairs
                 rev = (1, *key[:0:-1])  # the same from s; key[-i] would make an int per read past 256
                 hit = seen[key] = (len(pairs), [e for e in pairs if key[e[3]] < key[e[4]]],
                                    [e for e in pairs if rev[e[3]] < rev[e[4]]])

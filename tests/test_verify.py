@@ -18,7 +18,6 @@ from sombortree.graph import (
     NoLeavesError,
     Tree,
     _bfs,
-    _skeleton,
     canonical_form,
     exceeds,
     leaf_layer_profile,
@@ -894,7 +893,7 @@ def per_support_theorem1(t):
     deg = t.degrees()
     support = [t.adj[a][0] for a in leaves]
     count = list(Counter(support).items())
-    skeleton = _skeleton(t.adj, deg)
+    skeleton = [[u for u in ns if deg[u] > 1] if len(ns) > 1 else () for ns in t.adj]
     checked, table = 0, {}
     for x, (s, cs) in enumerate(count):
         checked += cs * (cs - 1) // 2
@@ -960,7 +959,7 @@ def test_theorem1_matches_per_support_walks_on_a_deep_caterpillar():
     t = _leaves_on(3000, [(i, i + 1) for i in range(1099)], hung)
     assert_theorem1_matches_per_support(t)
     assert check_theorem1(t).violations == 951
-    # the table for the 1,100 interior vertices served that call only
+    # the table for the 1,100 interior vertices is not kept
     assert 1100 not in verify._PAIRS
     assert all(k < verify._PAIRS_KEPT for k in verify._PAIRS)
 
@@ -1054,8 +1053,8 @@ def test_theorem1_builds_records_only_for_violations(monkeypatch):
     built = []
 
     class CountedRecord(PathInequalityRecord):
-        def __new__(cls, **fields):
-            self = super().__new__(cls, **fields)
+        def __new__(cls, *fields, **named):
+            self = super().__new__(cls, *fields, **named)
             built.append(self)
             return self
 
@@ -1067,6 +1066,20 @@ def test_theorem1_builds_records_only_for_violations(monkeypatch):
     assert len(built) == report.violations
     report.violating  # cached: a second read builds nothing
     assert len(built) == report.violations
+
+
+def test_theorem1_records_root_the_tree_once(monkeypatch):
+    report = check_theorem1(construct_max_tree(validate([5, 5, 5, 4, 3, 3, 2, 2])))
+    assert len(report.table) == 2
+    calls = []
+
+    def counted_bfs(adj, root):
+        calls.append(root)
+        return _bfs(adj, root)
+
+    monkeypatch.setattr(verify, "_bfs", counted_bfs)
+    assert len(report.violating) == report.violations
+    assert len(calls) == 1
 
 
 def assert_counts_need_no_records(t):
