@@ -79,27 +79,33 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build the candidate maximum tree")
+    p.set_defaults(handler=_cmd_construct)
     p.add_argument("--degrees", required=True)
     p.add_argument("--format", choices=["json", "dot", "edges"], default="json")
     p.add_argument("--out")
 
     p = sub.add_parser("score", help="Sombor index of a tree JSON file")
+    p.set_defaults(handler=_cmd_score)
     p.add_argument("--input", required=True)
 
     p = sub.add_parser("verify", help="constructor vs exhaustive oracle")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--degrees", required=True)
     p.add_argument("--cap", type=int, default=None)
 
     p = sub.add_parser("check", help="path-inequality and local-max reports")
+    p.set_defaults(handler=_cmd_check)
     p.add_argument("--degrees", required=True)
 
     p = sub.add_parser("sweep", help="batch audit up to a vertex budget")
+    p.set_defaults(handler=_cmd_sweep)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--witness-dir")
 
     p = sub.add_parser("search", help="seeded annealing counterexample search")
+    p.set_defaults(handler=_cmd_search)
     p.add_argument("--degrees", required=True)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -228,21 +234,11 @@ def _cmd_search(args) -> int:
     return EXIT_COUNTEREXAMPLE if improved else EXIT_OK
 
 
-_COMMANDS = {
-    "construct": _cmd_construct,
-    "score": _cmd_score,
-    "verify": _cmd_verify,
-    "check": _cmd_check,
-    "sweep": _cmd_sweep,
-    "search": _cmd_search,
-}
-
-
 def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -13,13 +13,13 @@ beyond exhaustive reach.  Both local checks work by degree class: the
 2-swap scan scores each pair of edge classes once and tests validity, O(1)
 on preorder intervals, only within class pairs that could beat the best;
 the path-inequality check roots the tree once at the first support, scores
-each degree pattern between two leaf supports once against inequality
-tables kept per process for short paths, keeps only violated entries and
-walks a path again only when its records are read.  The attachment
-checker builds no merged tree: one fsum per distinct neighbor degree of
-the host's leaves, over the host's and the subtree's edge weights, in
-O(n).  The 2-swap scan and the annealer are tested against the
-brute-force neighbourhood in tests/swaps.py.
+each degree pattern between two leaf supports once against the one table
+of its path length (kept per process if short, else per call), keeps only
+violated entries and walks a path again only when its records are read.
+The attachment checker builds no merged tree: one fsum per distinct
+neighbor degree of the host's leaves, over the host's and the subtree's
+edge weights, in O(n).  The 2-swap scan and the annealer are tested
+against the brute-force neighbourhood in tests/swaps.py.
 """
 
 from __future__ import annotations
@@ -198,15 +198,11 @@ def _skeleton_scan(d: DegreeSequence):
     scored more than once, through automorphisms of S.  The free trees on m
     vertices are walked once per process (_walk_record), and S is
     admissible when its sorted degrees fit under d's, tested once per
-    distinct profile.  The single edge (m = 0) is the one placement of a
-    degree 1, with its one leaf, on a lone vertex.
+    distinct profile.  The single edge (d.m = 0) is scanned as the one
+    placement of a degree 1, with its one leaf, on a lone vertex (m = 1).
     """
-    m = d.m
-    if m == 0:
-        key = ((-1,), [0], (1,))
-        yield sombor_index(_hang_leaves(key)), key
-        return
-    need = list(d.degrees)  # non-increasing: DegreeSequence sorts them
+    need = list(d.degrees) or [1]  # non-increasing: DegreeSequence sorts them
+    m = len(need)
     W = weight_table(need + [1])
     vals = sorted(set(need))
     left = [need.count(x) for x in vals]
@@ -496,7 +492,8 @@ def _path_pairs(k: int) -> tuple[tuple[int, int, int, int, int], ...]:
     orders (li, ri) so that each inequality reads d(v_hi) >= d(v_lo), the
     one test.  A table has O(k^2) entries, so check_theorem1 keeps the
     tables with k < _PAIRS_KEPT in _PAIRS for the process, built on first
-    use, and builds a longer one for each degree pattern that needs it.
+    use, and a longer table for the rest of the call only, shared by every
+    degree pattern of that length.
     """
     pairs = []
     for i in range(1, min(k, (k + 2) // 2) + 1):
@@ -581,13 +578,15 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     lower-id leaf starts its path.  Which inequalities fail depends only on
     the degrees along the path, so one lookup per support pair, on its
     degree tuple, gives the pair count and the violated entries from
-    either end, computed once per tuple and shared, read only, by the
-    table entries of every path that has it.  The table keeps only those
-    entries, no path; the counts need no record, since each ordered
-    support pair's violations count once per leaf pair on it (lower-id
-    leaf first), summed once per run of consecutive leaf ids on one
-    support (a constructed tree has one run per support).  ``violating``
-    builds the records on first read, on the same rooting.
+    either end, computed once per tuple against the one _path_pairs table
+    of its length (kept per process if short, else for the call) and
+    shared, read only, by the table entries of every path that has it.
+    The table keeps only those entries, no path; the counts need no
+    record, since each ordered support pair's violations count once per
+    leaf pair on it (lower-id leaf first), summed once per run of
+    consecutive leaf ids on one support (a constructed tree has one run
+    per support).  ``violating`` builds the records on first read, on the
+    same rooting.
     """
     deg = list(map(len, t.adj))
     leaves = [v for v, c in enumerate(deg) if c == 1]
@@ -601,6 +600,7 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     count = list(on.items())
     parent = _bfs(t.adj, support[0])[1]  # rooted once, at the first support
     seen = {}  # key -> (pair count, violated entries from u, from s)
+    longer = {}  # k -> _path_pairs(k), for k >= _PAIRS_KEPT, kept for this call
     checked = 0
     table = defaultdict(dict)  # s -> {u: violated entries on the support path s..u}
     for x, (s, cs) in enumerate(count):
@@ -619,10 +619,9 @@ def check_theorem1(t: Tree) -> Theorem1Report:
             key = (1, *along, *above[at[v] :: -1])  # a leaf's 1, then the degrees from u to s
             if (hit := seen.get(key)) is None:
                 k = len(key) - 1
-                if (pairs := _PAIRS.get(k)) is None:
-                    pairs = _path_pairs(k)
-                    if k < _PAIRS_KEPT:
-                        _PAIRS[k] = pairs
+                store = _PAIRS if k < _PAIRS_KEPT else longer
+                if (pairs := store.get(k)) is None:
+                    pairs = store[k] = _path_pairs(k)
                 rev = (1, *key[:0:-1])  # the same from s; key[-i] would make an int per read past 256
                 hit = seen[key] = (len(pairs), [e for e in pairs if key[e[3]] < key[e[4]]],
                                    [e for e in pairs if rev[e[3]] < rev[e[4]]])

@@ -885,19 +885,20 @@ def test_streamed_theorem1_matches_reference_on_constructed_trees():
 def per_support_theorem1(t):
     """check_theorem1's counts and table by one skeleton BFS from each
     support and a walk up its parents from every later support: the
-    reference for rooting the whole tree once."""
+    reference for rooting the whole tree once.  Returns the report and
+    the BFS parents per support, for per_support_records."""
     leaves = t.leaves()
     paths = len(leaves) * (len(leaves) - 1) // 2
     if t.n <= 2:
-        return Theorem1Report(t, paths, 0, 0, {})
+        return Theorem1Report(t, paths, 0, 0, {}), {}
     deg = t.degrees()
     support = [t.adj[a][0] for a in leaves]
     count = list(Counter(support).items())
     skeleton = [[u for u in ns if deg[u] > 1] if len(ns) > 1 else () for ns in t.adj]
-    checked, table = 0, {}
+    checked, table, parents = 0, {}, {}
     for x, (s, cs) in enumerate(count):
         checked += cs * (cs - 1) // 2
-        parent = _bfs(skeleton, s)[1]
+        parent = parents[s] = _bfs(skeleton, s)[1]
         for u, cu in count[x + 1 :]:
             along, v = [deg[u]], u  # degrees from u up to s
             while v != s:
@@ -914,16 +915,44 @@ def per_support_theorem1(t):
         if row := table.get(s):
             violations += c * sum(later[u] * len(h) for u, h in row.items())
         later[s] += c
-    return Theorem1Report(t, paths, checked, violations, table)
+    return Theorem1Report(t, paths, checked, violations, table), parents
 
 
-def assert_theorem1_matches_per_support(t):
-    report, ref = check_theorem1(t), per_support_theorem1(t)
+def per_support_records(t, table, parents):
+    """The violated records from the reference's own table and BFS parents,
+    with no call into Theorem1Report: for each leaf pair a < b by id whose
+    supports' pair has hits, the path walked up from b's support to a's on
+    the BFS from a's, and one record per hit in table order."""
+    deg, leaves = t.degrees(), t.leaves()
+    records = []
+    for x, a in enumerate(leaves):
+        s = t.adj[a][0]
+        for b in leaves[x + 1 :]:
+            u = t.adj[b][0]
+            if (hits := table.get(s, {}).get(u)) is None:
+                continue
+            walk = [b, u]
+            while walk[-1] != s:
+                walk.append(parents[s][walk[-1]])
+            path = (a, *walk[::-1])
+            for i, li, ri, _, _ in hits:
+                lhs, rhs = deg[path[li]], deg[path[ri]]
+                op, holds = (">=", lhs >= rhs) if i % 2 else ("<=", lhs <= rhs)
+                parity = "odd" if i % 2 else "even"
+                ineq = f"d(v{li}) {op} d(v{ri})"
+                records.append(PathInequalityRecord(path, i, parity, ineq, lhs, rhs, holds))
+    return tuple(records)
+
+
+def assert_theorem1_matches_per_support(t, records=True):
+    report, (ref, parents) = check_theorem1(t), per_support_theorem1(t)
     assert report == ref  # paths, checked, violations and table
     assert [(s, [*row.items()]) for s, row in report.table.items()] == [
         (s, [*row.items()]) for s, row in ref.table.items()
     ]
-    assert report.violating == ref.violating
+    if records:
+        assert report.violating == per_support_records(t, ref.table, parents)
+    return report
 
 
 @st.composite
@@ -962,6 +991,39 @@ def test_theorem1_matches_per_support_walks_on_a_deep_caterpillar():
     # the table for the 1,100 interior vertices is not kept
     assert 1100 not in verify._PAIRS
     assert all(k < verify._PAIRS_KEPT for k in verify._PAIRS)
+
+
+def _random_caterpillar(L):
+    """The spine 0..L-1 with 2L leaves on spine vertices drawn by
+    random.Random(5), and one leaf more at each spine end."""
+    rng = random.Random(5)
+    edges = [(i, i + 1) for i in range(L - 1)]
+    edges += [(rng.randrange(L), L + i) for i in range(2 * L)]
+    return Tree.from_edges(3 * L + 2, edges + [(0, 3 * L), (L - 1, 3 * L + 1)])
+
+
+@time_limit(5)
+def test_long_path_pair_tables_are_built_once_per_call(monkeypatch):
+    # the 64-vertex spine's random degrees give 33 path lengths of 32 or
+    # more interior vertices over hundreds of degree patterns (up to 23 for
+    # one length): each length's table is built once and shared
+    built, tables = Counter(), {}
+
+    def counted(k):
+        built[k] += 1
+        tables[k] = _path_pairs(k)
+        return tables[k]
+
+    monkeypatch.setattr(verify, "_path_pairs", counted)
+    # its 550,577 records are left to the smaller trees' tests
+    report = assert_theorem1_matches_per_support(_random_caterpillar(64), records=False)
+    assert sorted(k for k in built if k >= verify._PAIRS_KEPT) == list(range(verify._PAIRS_KEPT, 65))
+    assert all(c == 1 for c in built.values())
+    # no long table outlives the call
+    assert all(k < verify._PAIRS_KEPT for k in verify._PAIRS)
+    # every violated entry is a built or kept table's own, not a copy
+    ids = {id(e) for pairs in [*tables.values(), *verify._PAIRS.values()] for e in pairs}
+    assert all(id(e) in ids for row in report.table.values() for hits in row.values() for e in hits)
 
 
 def test_theorem1_matches_per_support_walks_on_large_check_trees():
