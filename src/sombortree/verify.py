@@ -31,7 +31,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import groupby, islice
+from itertools import islice, repeat
 from math import factorial
 from typing import NamedTuple
 
@@ -583,35 +583,33 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     shared, read only, by the table entries of every path that has it.
     The table keeps only those entries, no path; the counts need no
     record, since each ordered support pair's violations count once per
-    leaf pair on it (lower-id leaf first), summed once per run of
-    consecutive leaf ids on one support (a constructed tree has one run
-    per support).  ``violating`` builds the records on first read, on the
-    same rooting.
+    leaf pair on it (lower-id leaf first): a violating support pair splits
+    its leaf pairs by the lower id's support, all on s when s's leaf ids
+    come first (as in every constructed tree), else by bisection over the
+    ids.  ``violating`` builds the records on first read, on the same rooting.
     """
     deg = list(map(len, t.adj))
     leaves = [v for v, c in enumerate(deg) if c == 1]
     paths = len(leaves) * (len(leaves) - 1) // 2
     if t.n <= 2:  # the lone edge's one path has no interior
         return Theorem1Report(t, paths, 0, 0, {})
-    support = [t.adj[a][0] for a in leaves]
-    on = {}  # support -> its leaf count, in order of first leaf
-    for s in support:
-        on[s] = on.get(s, 0) + 1
-    count = list(on.items())
-    parent = _bfs(t.adj, support[0])[1]  # rooted once, at the first support
+    on = {}  # support -> its leaf ids, ascending, in order of first leaf
+    for a in leaves:
+        on.setdefault(t.adj[a][0], []).append(a)
+    groups = list(on.items())
+    parent = _bfs(t.adj, groups[0][0])[1]  # rooted once, at the first support
     seen = {}  # key -> (pair count, violated entries from u, from s)
     longer = {}  # k -> _path_pairs(k), for k >= _PAIRS_KEPT, kept for this call
-    checked = 0
+    checked = violations = 0
     table = defaultdict(dict)  # s -> {u: violated entries on the support path s..u}
-    for x, (s, cs) in enumerate(count):
+    for x, (s, ls) in enumerate(groups):
         # the leaf pairs on s alone have interior s: one entry, d(v1) >= d(v1)
-        checked += cs * (cs - 1) // 2
+        checked += len(ls) * (len(ls) - 1) // 2
         above, at, v = [deg[s]], {s: 0}, s  # degrees from s up to the root; v -> its index
         while (v := parent[v]) >= 0:
             at[v] = len(above)
             above.append(deg[v])
-        across = 0  # the entries checked from s, per leaf on s
-        for u, cu in count[x + 1 :]:
+        for u, lu in groups[x + 1 :]:
             along, v = [], u  # degrees from u up to below where it meets s's way up
             while v not in at:
                 along.append(deg[v])
@@ -626,19 +624,15 @@ def check_theorem1(t: Tree) -> Theorem1Report:
                 hit = seen[key] = (len(pairs), [e for e in pairs if key[e[3]] < key[e[4]]],
                                    [e for e in pairs if rev[e[3]] < rev[e[4]]])
             npairs, hu, hs = hit
-            across += cu * npairs
             if hu:
                 table[u][s] = hu
             if hs:
                 table[s][u] = hs
-        checked += cs * across
-    # no table row holds its own support, so a run's own pairs add no violation
-    violations, later = 0, {}  # the supports of the leaves after this run, counted
-    for s, run in groupby(reversed(support)):  # from the highest leaf id down
-        c = len(list(run))
-        if row := table.get(s):
-            violations += c * sum(later.get(u, 0) * len(h) for u, h in row.items())
-        later[s] = later.get(s, 0) + c
+            both = len(ls) * len(lu)
+            checked += both * npairs
+            if hu or hs:  # the leaf pairs whose lower id is on s read the path from s
+                from_s = both if ls[-1] < lu[0] else both - sum(map(bisect_right, repeat(lu), ls))
+                violations += from_s * len(hs) + (both - from_s) * len(hu)
     return Theorem1Report(t, paths, checked, violations, dict(table))
 
 

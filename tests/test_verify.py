@@ -1182,6 +1182,20 @@ def test_theorem1_counts_interleaved_leaf_pairs():
     assert_theorem1_matches_reference(INTERLEAVED)
 
 
+@time_limit(2)
+def test_theorem1_counts_alternating_leaf_ids_per_support_pair():
+    # a broom: supports 0 and 10 joined by the path 0..10, with the 4,000
+    # leaf ids alternating between them.  Every leaf id starts a run of its
+    # own, so a count over run pairs would take 4 million steps; the one
+    # support pair's path reads 2001, 2, ..., 2, 2001 both ways and violates
+    # nothing
+    hung = {0: range(11, 4011, 2), 10: range(12, 4011, 2)}
+    report = check_theorem1(_leaves_on(4011, [(i, i + 1) for i in range(10)], hung))
+    assert report.paths == math.comb(4000, 2)
+    assert report.violations == 0
+    assert report.checked == 2 * math.comb(2000, 2) + 2000 * 2000 * len(_path_pairs(11))
+
+
 def _oriented_count(t):
     """The violations of every leaf pair in its better orientation: over
     support pairs s != u with cs and cu leaves, cs * cu * min(|table[s][u]|,
