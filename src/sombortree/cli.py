@@ -56,7 +56,10 @@ def _parse_degrees(text: str):
     """The DegreeSequence of a comma-separated list, or of stdin's for "-";
     the error for an entry int() refuses names its place and its first 20
     characters, never the whole list."""
-    text = sys.stdin.read() if text == "-" else text  # one argv string holds at most 128 KiB
+    try:
+        text = sys.stdin.read() if text == "-" else text  # one argv string holds at most 128 KiB
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"malformed degree list: stdin is not {exc.encoding} text") from None
     raw = []
     for i, x in enumerate(text.split(","), 1):
         if x := x.strip():

@@ -111,13 +111,9 @@ class Tree:
         return cls.from_edges(data["n"], edges)
 
     def to_dot(self) -> str:
-        lines = ["graph tree {"]
-        for v in range(self.n):
-            lines.append(f'  {v} [label="v{v} (d={self.degree(v)})"];')
-        for u, v in self.edges():
-            lines.append(f"  {u} -- {v};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        lines = [f'  {v} [label="v{v} (d={len(ns)})"];' for v, ns in enumerate(self.adj)]
+        lines += [f"  {u} -- {v};" for u, v in self.edges()]
+        return "\n".join(["graph tree {", *lines, "}"]) + "\n"
 
     def to_edge_list(self) -> str:
         return "\n".join(f"{u} {v}" for u, v in self.edges()) + "\n"

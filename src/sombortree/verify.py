@@ -12,7 +12,7 @@ attachment-site checkers, and a seeded simulated annealer for instances
 beyond exhaustive reach.  Both local checks work by degree class: the
 2-swap scan scores each pair of edge classes once and tests validity, O(1)
 on preorder intervals, only within class pairs that could beat the best;
-the path-inequality check roots the tree once at the first support, scores
+the path-inequality check roots the tree once at vertex 0, scores
 each degree pattern between two leaf supports once against the one table
 of its path length (kept per process if short, else per call), keeps only
 violated entries and walks a path again only when its records are read.
@@ -78,14 +78,11 @@ def free_trees(m: int):
     can be kept, skipping only sequences that would be rejected too.
 
     The height h of the first root subtree never grows along the walk, and
-    it starts at m // 2 - 1 (the path), so 2 * h + 2 <= m always holds: a
-    rest of height h always fits.
+    it starts at m // 2 - 1 (the path; -1 for the lone vertex, which has
+    none), so 2 * h + 2 <= m always holds: a rest of height h always fits.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if m <= 2:
-        yield (-1, 0)[:m]
-        return
     # the path rooted at its center is the first sequence kept
     level = list(range(m // 2 + 1)) + list(range(1, (m + 1) // 2))
     while True:
@@ -118,15 +115,15 @@ def free_trees(m: int):
 def _rooted_at_center(level: list[int], cut: int) -> bool:
     """Is the root a center, and for bicentral trees the chosen one?
 
-    level[1:cut] is the first (tallest) root subtree.  When the rest of the
-    tree is exactly as tall, the other end of the central edge is a center
-    too; the rooting whose first subtree is the smaller of the two halves,
-    by size and then level sequence, is the one kept.
+    level[1:cut] is the first (tallest) root subtree, of height -1 if none
+    (m = 1).  When the rest of the tree is exactly as tall, the other end of
+    the central edge is a center too; the rooting whose first subtree is the
+    smaller of the two halves, by size and then level sequence, is kept.
     """
     first = [x - 1 for x in level[1:cut]]
-    rest = [0] + level[cut:]
-    if max(rest) != max(first):
-        return max(rest) > max(first)
+    rest, h = [0] + level[cut:], max(first, default=-1)
+    if max(rest) != h:
+        return max(rest) > h
     return (len(first), first) <= (len(rest), rest)
 
 
@@ -517,13 +514,11 @@ class Theorem1Report:
     @functools.cached_property
     def violating(self) -> tuple[PathInequalityRecord, ...]:
         """The violated inequalities, by leaf pair (by id), then table order;
-        the support paths are walked here, on the rooting check_theorem1
-        counts on: each climbs from u to where it meets s's way up."""
-        if not self.table:
-            return ()
+        the support paths are walked here, on check_theorem1's rooting at 0:
+        each climbs from u to where it meets s's way up."""
         leaves, deg = self.tree.leaves(), self.tree.degrees()
         support = [self.tree.adj[a][0] for a in leaves]
-        parent = _bfs(self.tree.adj, support[0])[1]
+        parent = _bfs(self.tree.adj, 0)[1]
         fields = {}  # s -> {u: (support path s..u, its records' fields but the path)}
         for s, row in self.table.items():
             up, at, v = [s], {s: 0}, s  # s's way up to the root; v -> its index
@@ -571,10 +566,10 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     Only interior degrees enter the inequalities, and for n > 2 the
     interior of the path from leaf a to leaf b is the path from a's
     support (its one neighbour) to b's.  So the inequalities are tested
-    once per ordered pair of support vertices.  The tree is rooted once,
-    at the first support: it is internal, so the path between two internal
-    vertices climbs from one end to the other's way up to the root through
-    internal vertices only.  Both orientations are tested, since the
+    once per ordered pair of support vertices.  The tree is rooted once, at
+    vertex 0: no leaf is interior to a path between internal vertices, so
+    from any root it climbs from one end to where it meets the other's way
+    up, the same climbs and table.  Both orientations are tested, since the
     lower-id leaf starts its path.  Which inequalities fail depends only on
     the degrees along the path, so one lookup per support pair, on its
     degree tuple, gives the pair count and the violated entries from
@@ -597,7 +592,7 @@ def check_theorem1(t: Tree) -> Theorem1Report:
     for a in leaves:
         on.setdefault(t.adj[a][0], []).append(a)
     groups = list(on.items())
-    parent = _bfs(t.adj, groups[0][0])[1]  # rooted once, at the first support
+    parent = _bfs(t.adj, 0)[1]  # rooted once, at vertex 0
     seen = {}  # key -> (pair count, violated entries from u, from s)
     longer = {}  # k -> _path_pairs(k), for k >= _PAIRS_KEPT, kept for this call
     checked = violations = 0
@@ -729,8 +724,8 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
     seed.  A draw is kept when i, j are disjoint edges and r is their one
     valid recombination (walks up the parent array, from internal child ends
     only: 2-swaps keep degrees); a for-else ends the warm-up, or the search,
-    after _SAMPLE_TRIES draws in a row without a kept one.
-    A negative budget raises ValueError.
+    after _SAMPLE_TRIES draws in a row without a kept one, so a tree with no
+    disjoint edges makes no move.  A negative budget raises ValueError.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -742,9 +737,6 @@ def anneal_search(d: DegreeSequence, budget: int, seed: int) -> AnnealResult:
     parent = [-1, *(ns[0] for ns in start.adj[1:])]  # start's ids are its BFS order from 0
     edges = list(zip(parent[1:], range(1, n)))  # start.edges(), in its order
     start_so = math.fsum([W[deg[a]][deg[b]] for a, b in edges])  # sombor_index(start)
-    if budget == 0 or d.m < 2:  # under two internal vertices: no disjoint edges
-        return AnnealResult(start, start_so, start_so, 0, 0)
-
     ne = len(edges)
     bits, k = rng.getrandbits, ne.bit_length()
     rand, exp = rng.random, math.exp

@@ -369,6 +369,17 @@ def test_malformed_degrees_on_stdin_are_not_echoed(capsys, monkeypatch):
     assert len(error.encode()) < 200 and usage.startswith("usage: sombor ")
 
 
+def test_non_utf8_stdin_is_a_usage_error(capsys, monkeypatch):
+    # strictly decoded stdin raises UnicodeDecodeError on the read itself;
+    # test_console feeds the same bytes to a process
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"3,\xff2\n"), encoding="utf-8"))
+    assert run(["construct", "--degrees", "-"]) == 1
+    out, err = capsys.readouterr()
+    error, usage = err.splitlines()
+    assert (out, error) == ("", "error: malformed degree list: stdin is not utf-8 text")
+    assert usage.startswith("usage: sombor ")
+
+
 def test_degrees_from_stdin_in_a_process_match_run(capsys):
     # 10^5 degrees are too long for one argument, so a shell can pass them
     # only on stdin; the output is cli.run's with the list as its argument

@@ -171,6 +171,12 @@ ROWS = {
         sombor("construct", "--degrees", "-"), 1, "", stdin=f"{M100K},x\n".encode(),
         err="error: malformed degree list: entry 100001 is 'x'\n", usage=True,
     ),
+    # a byte that is not utf-8: under strict decoding the read fails, else
+    # the escaped byte is the bad entry; one error line either way
+    "construct_stdin_not_utf8": Row(
+        sombor("construct", "--degrees", "-"), 1, "", stdin=b"3,\xff2\n",
+        err="error: malformed degree list: ", usage=True,
+    ),
 }
 
 

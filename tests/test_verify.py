@@ -957,9 +957,9 @@ def assert_theorem1_matches_per_support(t, records=True):
 
 @st.composite
 def first_support_trees(draw):
-    """Random trees relabeled so that vertex 0 is a leaf, or so that the
-    lowest-id leaf is one farthest from vertex 0: the skeleton is then
-    rooted at a support other than vertex 0's, deep in the tree."""
+    """Random trees relabeled so that vertex 0, the root check_theorem1
+    walks from, is a leaf, or so that the lowest-id leaf is one farthest
+    from vertex 0: its support's way up then climbs the tree's full depth."""
     t = draw(random_trees(max_n=40))
     leaves = t.leaves()
     if draw(st.booleans()):
@@ -979,8 +979,8 @@ def test_theorem1_matches_per_support_walks(t):
 
 def test_theorem1_matches_per_support_walks_on_a_deep_caterpillar():
     # the spine 0..1099 with 951 leaves on 0 and 949 on 1099, 3,000
-    # vertices: the lowest-id leaf, 1100, hangs on 1099, so the skeleton is
-    # rooted there and the one support pair's path climbs 1,099 vertices,
+    # vertices: the lowest-id leaf, 1100, hangs on 1099, the tree is rooted
+    # at 0, and the one support pair's path climbs 1,099 vertices,
     # past the default recursion limit.  Only leaf 1100 starts a path on
     # 1099 and ends it on 0, where d(v1) >= d(v1100) reads 950 >= 952: 951
     # violations, one per leaf on 0
@@ -1063,6 +1063,7 @@ def _leaves_on(n, spine, hung):
 # on its reverse 4,2,3.  Leaves 3, 6 hang on s and 4, 5, 7 on u, so leaf
 # pairs run both ways between the two supports.
 ORIENTED = _leaves_on(8, [(0, 1), (1, 2)], {0: [3, 6], 2: [4, 5, 7]})
+LEAF_ROOT = _leaves_on(11, [(i, i + 1) for i in range(1, 5)], {1: [6, 9], 3: [7, 10], 5: [0, 8]})
 
 SUPPORT_CASES = {
     "single_vertex": Tree.from_edges(1, []),
@@ -1091,6 +1092,10 @@ SUPPORT_CASES = {
     "palindromes": _leaves_on(
         12, [(0, 1), (1, 2), (2, 3)], {0: [4, 8], 1: [5, 9], 2: [6], 3: [7, 10, 11]}
     ),
+    # the root, vertex 0, is a leaf: spine 1..5 with degrees 3,2,4,2,3 and
+    # leaves 0, 8 on 5, so 1..3 is violated read from 1, 5..3 read from 5
+    # and 1..5 read both ways
+    "leaf_root": LEAF_ROOT,
 }
 
 
@@ -1109,6 +1114,9 @@ def test_support_pair_orientations_differ():
     ]
     assert all(r.inequality == "d(v1) >= d(v3)" for r in report.violating)
     assert_theorem1_matches_reference(ORIENTED)
+    # rooted at a leaf: the support path 1..5 is violated from both ends
+    ends = {r.path[1:-1] for r in check_theorem1(LEAF_ROOT).violating if len(r.path) == 7}
+    assert ends == {(5, 4, 3, 2, 1), (1, 2, 3, 4, 5)}
 
 
 def test_theorem1_builds_records_only_for_violations(monkeypatch):
@@ -1141,7 +1149,7 @@ def test_theorem1_records_root_the_tree_once(monkeypatch):
 
     monkeypatch.setattr(verify, "_bfs", counted_bfs)
     assert len(report.violating) == report.violations
-    assert len(calls) == 1
+    assert calls == [0]
 
 
 def assert_counts_need_no_records(t):
@@ -1377,10 +1385,15 @@ def test_anneal_322_reaches_oracle():
 
 
 def test_anneal_zero_budget_returns_constructed():
-    d = validate([3, 3, 2])
-    result = anneal_search(d, budget=0, seed=7)
-    assert result.best_tree.edges() == construct_max_tree(d).edges()
-    assert result.moves == 0
+    # budget 0 makes no move; nor do the lone edge and the stars at any
+    # budget, since no two of their edges are disjoint: both give-ups end them
+    for degrees, budget in [([3, 3, 2], 0), ([], 1000), ([12], 1000), ([13], 1000)]:
+        d = validate(degrees)
+        t = construct_max_tree(d)
+        result = anneal_search(d, budget=budget, seed=7)
+        assert result.best_tree.edges() == t.edges()
+        assert (result.moves, result.accepted) == (0, 0)
+        assert result.best_so.hex() == result.start_so.hex() == sombor_index(t).hex()
 
 
 def test_anneal_rejects_negative_budget():
